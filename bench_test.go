@@ -767,15 +767,13 @@ func BenchmarkQueryLimitOne(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVsTuple pairs the tuple-at-a-time Volcano path with
-// the vectorized batch path per operator class: the streaming trio
-// (scan, filter, project) where the per-Next interface overhead
-// dominates, the blocking hash-division drains, the parallel
-// exchange, ordered operators, and — since PR 7 — the probe-side
-// operators (hash join, semijoin, set ops, product, theta join,
-// merge division), whose probe phases stream whole input batches
-// through batched hash-table lookups instead of per-tuple Next.
-func BenchmarkBatchVsTuple(b *testing.B) {
+// BenchmarkExecOperators drains one plan per operator class: the
+// streaming trio (scan, filter, project) where per-call interface
+// overhead dominates, the blocking hash-division drains, the parallel
+// exchange, ordered operators, and the probe-side operators (hash
+// join, semijoin, set ops, product), whose probe phases stream whole
+// input batches through batched hash-table lookups.
+func BenchmarkExecOperators(b *testing.B) {
 	r1, r2 := datagen.DividePair{
 		Groups: 2000, GroupSize: 4, DivisorSize: 4,
 		Domain: 40, HitRate: 0.9, Seed: 11,
@@ -828,22 +826,13 @@ func BenchmarkBatchVsTuple(b *testing.B) {
 		{"product", &plan.Product{Left: r1s, Right: plan.NewScan("pr", pr)}},
 	}
 	for _, c := range classes {
-		for _, mode := range []struct {
-			name  string
-			batch exec.BatchMode
-		}{
-			{"tuple", exec.BatchOff},
-			{"batch", exec.BatchForce},
-		} {
-			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					it := exec.CompileWith(c.node, nil, exec.CompileOptions{Batch: mode.batch})
-					if _, err := exec.Drain(context.Background(), it); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.Drain(context.Background(), exec.Compile(c.node, nil)); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -47,6 +47,12 @@ import (
 	"divlaws/internal/server"
 )
 
+// Connection timeouts of the HTTP server.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr = flag.String("addr", ":8080", "listen address")
@@ -55,9 +61,8 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallelize large divisions across this many goroutines per query (divlaws.WithWorkers)")
 		threshold = flag.Float64("parallel-threshold", optimizer.DefaultParallelThreshold,
 			"minimum estimated dividend rows before a division is parallelized")
-		batchSize = flag.Int("batch-size", 0, "vectorized batch capacity in tuples; 0 = engine default (divlaws.WithBatchSize)")
+		batchSize = flag.Int("batch-size", 0, "batch capacity in tuples; 0 = engine default (divlaws.WithBatchSize)")
 		exchange  = flag.Int("exchange-buffer", 0, "parallel exchange channel capacity in batches; 0 = engine default (divlaws.WithExchangeBuffer)")
-		noBatch   = flag.Bool("no-batch", false, "disable the vectorized batch path (divlaws.WithoutBatching)")
 		memLimit  = flag.Int64("memory-limit", 0, "per-query memory budget in bytes; blocking operators spill to temp files past it, 0 = unlimited (divlaws.WithMemoryLimit)")
 
 		// Admission / memory limits: at most max-inflight pipelines
@@ -98,9 +103,6 @@ func main() {
 	if *exchange > 0 {
 		opts = append(opts, divlaws.WithExchangeBuffer(*exchange))
 	}
-	if *noBatch {
-		opts = append(opts, divlaws.WithoutBatching())
-	}
 	if *memLimit > 0 {
 		opts = append(opts, divlaws.WithMemoryLimit(*memLimit))
 	}
@@ -123,7 +125,15 @@ func main() {
 		FlushRows:       *flushRows,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Header reads and idle keep-alives are bounded so a slow or silent
+	// client cannot pin a connection forever. Read/write timeouts stay
+	// unset: a response streams for up to -max-deadline.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("divserve: listening on %s (engine workers=%d, admission %d in-flight / %d queued, dataset %d suppliers x %d parts x %d colors)",

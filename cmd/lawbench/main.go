@@ -39,7 +39,7 @@ import (
 // BENCH_<n>.json trajectory files.
 type result struct {
 	Scenario    string  `json:"scenario"`
-	Side        string  `json:"side"` // "lhs" or "rhs"
+	Side        string  `json:"side"` // "lhs"/"rhs", "exec", or "memory"/"spill"/"rejected"
 	Scale       int     `json:"scale"`
 	Workers     int     `json:"workers"`
 	NsPerOp     int64   `json:"ns_op"`
@@ -70,7 +70,7 @@ func main() {
 		reps     = flag.Int("reps", 3, "repetitions (minimum time, mean allocs)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		workers  = flag.Int("workers", 1, "parallelize divisions in both plan sides across this many goroutines")
-		execSw   = flag.Bool("exec", true, "append the paired tuple-vs-batch sweep over the streaming engine's operator classes")
+		execSw   = flag.Bool("exec", true, "append the exec sweep over the streaming engine's operator classes")
 		spillSw  = flag.Bool("spill", true, "append the in-memory vs out-of-core sweep over the blocking operator classes")
 		memLimit = flag.Int64("memory-limit", 64<<10, "memory budget in bytes for the spill sweep's out-of-core side")
 		jsonDest = flag.String("json", "", `emit machine-readable results to this file ("-" for stdout) instead of the table`)
@@ -126,25 +126,15 @@ func main() {
 
 	if *execSw && *law == "" {
 		if *jsonDest == "" {
-			fmt.Printf("\n%-20s %12s %12s %8s  %s\n", "operator class", "tuple", "batch", "speedup", "result-rows")
+			fmt.Printf("\n%-20s %12s  %s\n", "operator class", "exec", "result-rows")
 		}
 		for _, c := range execClasses(*scale, *seed, *workers) {
-			tup, bat := measureExecPair(c.node, *reps)
-			if tup.rows != bat.rows {
-				fmt.Fprintf(os.Stderr, "%s: BATCH PATH CHANGED RESULT (%d vs %d rows)\n", c.name, tup.rows, bat.rows)
-				os.Exit(1)
-			}
-			speedup := float64(tup.best) / float64(bat.best)
+			m := measureExec(c.node, *reps)
 			rep.Results = append(rep.Results,
-				result{Scenario: c.name, Side: "tuple", Scale: *scale, Workers: *workers,
-					NsPerOp: tup.best.Nanoseconds(), AllocsPerOp: tup.allocs, BytesPerOp: tup.bytes, Rows: tup.rows},
-				result{Scenario: c.name, Side: "batch", Scale: *scale, Workers: *workers,
-					NsPerOp: bat.best.Nanoseconds(), AllocsPerOp: bat.allocs, BytesPerOp: bat.bytes, Rows: bat.rows,
-					Speedup: speedup})
+				result{Scenario: c.name, Side: "exec", Scale: *scale, Workers: *workers,
+					NsPerOp: m.best.Nanoseconds(), AllocsPerOp: m.allocs, BytesPerOp: m.bytes, Rows: m.rows})
 			if *jsonDest == "" {
-				fmt.Printf("%-20s %12v %12v %7.2fx  %d\n",
-					c.name, tup.best.Round(time.Microsecond), bat.best.Round(time.Microsecond),
-					speedup, tup.rows)
+				fmt.Printf("%-20s %12v  %d\n", c.name, m.best.Round(time.Microsecond), m.rows)
 			}
 		}
 	}
@@ -236,20 +226,15 @@ func measure(n plan.Node, reps int) measurement {
 	return m
 }
 
-// measureExecPair is measure over the streaming engine, run as a
-// paired comparison: each rep times one tuple-path round and one
-// batch-path round back to back, so slow machine drift hits both
-// sides equally instead of biasing whichever ran last. A single
-// drain is microseconds — below single-shot timer resolution on a
-// noisy host — so each round runs enough inner drains to fill a few
-// milliseconds and reports per-drain amortized figures; unmeasured
-// warmup drains size that inner loop and absorb first-run effects
+// measureExec is measure over the streaming engine. A single drain
+// is microseconds — below single-shot timer resolution on a noisy
+// host — so each rep runs enough inner drains to fill a few
+// milliseconds and reports per-drain amortized figures; an unmeasured
+// warmup drain sizes that inner loop and absorbs first-run effects
 // (cold caches, pool population).
-func measureExecPair(n plan.Node, reps int) (tup, bat measurement) {
-	offOpts := exec.CompileOptions{Batch: exec.BatchOff}
-	onOpts := exec.CompileOptions{Batch: exec.BatchForce}
-	drain := func(opts exec.CompileOptions) int64 {
-		rows, err := exec.Drain(context.Background(), exec.CompileWith(n, nil, opts))
+func measureExec(n plan.Node, reps int) measurement {
+	drain := func() int64 {
+		rows, err := exec.Drain(context.Background(), exec.Compile(n, nil))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -257,20 +242,19 @@ func measureExecPair(n plan.Node, reps int) (tup, bat measurement) {
 		return rows
 	}
 	start := time.Now()
-	drain(offOpts)
-	drain(onOpts)
-	warm := time.Since(start) / 2
-	iters := int(5 * time.Millisecond / (warm + 1))
+	drain()
+	iters := int(5 * time.Millisecond / (time.Since(start) + 1))
 	if iters < 1 {
 		iters = 1
 	}
-	round := func(opts exec.CompileOptions, m *measurement) {
+	m := measurement{best: time.Duration(1<<62 - 1)}
+	for i := 0; i < reps; i++ {
 		var rows int64
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
 		for j := 0; j < iters; j++ {
-			rows = drain(opts)
+			rows = drain()
 		}
 		d := time.Since(start) / time.Duration(iters)
 		runtime.ReadMemStats(&ms1)
@@ -281,17 +265,9 @@ func measureExecPair(n plan.Node, reps int) (tup, bat measurement) {
 		m.bytes += int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters)
 		m.rows = int(rows)
 	}
-	tup = measurement{best: time.Duration(1<<62 - 1)}
-	bat = measurement{best: time.Duration(1<<62 - 1)}
-	for i := 0; i < reps; i++ {
-		round(offOpts, &tup)
-		round(onOpts, &bat)
-	}
-	tup.allocs /= int64(reps)
-	tup.bytes /= int64(reps)
-	bat.allocs /= int64(reps)
-	bat.bytes /= int64(reps)
-	return tup, bat
+	m.allocs /= int64(reps)
+	m.bytes /= int64(reps)
+	return m
 }
 
 // measureSpillPair times one blocking-operator plan with an unlimited
@@ -422,12 +398,12 @@ func rejectedProbe(scale int, seed int64) string {
 	return err.Error()
 }
 
-// execClasses builds one paired workload per streaming operator
-// class: the vectorized trio (scan, filter, project), the blocking
-// hash-division drains, the parallel exchange, top-k, and the
-// probe-side operators batched in PR 7 — joins, semijoins, set
-// operations, products, and the merge-sort division, whose probe
-// phases stream whole batches through batched hash-table lookups.
+// execClasses builds one workload per streaming operator class: the
+// pipelined trio (scan, filter, project), the blocking hash-division
+// drains, the parallel exchange, top-k, and the probe-side operators —
+// joins, semijoins, set operations, products, and the merge-sort
+// division, whose probe phases stream whole batches through batched
+// hash-table lookups.
 func execClasses(scale int, seed int64, workers int) []struct {
 	name string
 	node plan.Node

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,19 +13,19 @@ import (
 	"divlaws/internal/plan"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
 )
 
-// These tests pin the tentpole invariant: the vectorized batch path
-// is an exact drop-in for the tuple path. Every plan is compiled
-// twice — BatchOff (the tuple-at-a-time oracle) and BatchForce — and
-// compared tuple-for-tuple: ordered plans by sequence, unordered by
-// multiset-free set equality. Both drain styles are exercised: the
-// Iterator surface (Next, through FromBatch where the root is
-// batch-only) and the raw BatchIterator surface (NextBatch).
+// These tests pin the engine against the reference evaluator
+// plan.Eval: every plan shape is compiled at several batch sizes and
+// compared row for row — ordered plans by sequence, unordered ones by
+// set equality. Both drain styles are exercised: tuple-at-a-time
+// through the FromBatch root's Next, and batch-at-a-time through
+// NextBatch.
 
-// drainSeq collects the full output sequence through the Iterator
-// surface.
-func drainSeq(t *testing.T, it Iterator) []relation.Tuple {
+// drainSeq collects the full output sequence through the root
+// adapter's Next.
+func drainSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(context.Background()); err != nil {
 		t.Fatalf("Open: %v", err)
@@ -45,10 +47,10 @@ func drainSeq(t *testing.T, it Iterator) []relation.Tuple {
 // drainBatchSeq collects the full output sequence through NextBatch,
 // copying each batch before the next call (the ownership contract:
 // a batch is valid only until the producer's next call).
-func drainBatchSeq(t *testing.T, b BatchIterator) []relation.Tuple {
+func drainBatchSeq(t *testing.T, b Iterator) []relation.Tuple {
 	t.Helper()
-	if err := b.OpenBatch(context.Background()); err != nil {
-		t.Fatalf("OpenBatch: %v", err)
+	if err := b.Open(context.Background()); err != nil {
+		t.Fatalf("Open: %v", err)
 	}
 	defer b.Close()
 	var out []relation.Tuple
@@ -72,6 +74,50 @@ func drainBatchSeq(t *testing.T, b BatchIterator) []relation.Tuple {
 	}
 }
 
+// evalMismatch compares got, an output sequence under schema sch, with
+// plan.Eval of node: the same sequence for ordered plans, the same set
+// otherwise. A Limit over an unordered input may keep any N rows, so
+// there the check is the row count and membership in the input's
+// result. It returns "" on agreement, else what diverged.
+func evalMismatch(node plan.Node, ordered bool, sch schema.Schema, got []relation.Tuple) string {
+	lim, isLimit := node.(*plan.Limit)
+	ref := node
+	if isLimit {
+		ref = lim.Input
+	}
+	want := plan.Eval(ref)
+	if !sch.Equal(want.Schema()) {
+		return fmt.Sprintf("schema %v, want %v", sch, want.Schema())
+	}
+	seen := make(map[string]bool, len(got))
+	for _, tup := range got {
+		if seen[tup.Key()] {
+			return fmt.Sprintf("duplicate row %v", tup)
+		}
+		seen[tup.Key()] = true
+	}
+	gotKeys := seqKeys(got)
+	if isLimit {
+		if n := min(lim.N, int64(want.Len())); int64(len(got)) != n {
+			return fmt.Sprintf("%d rows, want %d", len(got), n)
+		}
+		for _, tup := range got {
+			if !want.Contains(tup) {
+				return fmt.Sprintf("row %v is not in the limited input", tup)
+			}
+		}
+		return ""
+	}
+	wantKeys := seqKeys(want.Tuples())
+	if ordered && !sameSeq(gotKeys, wantKeys) {
+		return fmt.Sprintf("sequence diverges\ngot  %v\nwant %v", gotKeys, wantKeys)
+	}
+	if !ordered && sortedKeys(gotKeys) != sortedKeys(wantKeys) {
+		return fmt.Sprintf("set diverges\ngot  %v\nwant %v", gotKeys, wantKeys)
+	}
+	return ""
+}
+
 func seqKeys(ts []relation.Tuple) []string {
 	out := make([]string, len(ts))
 	for i, t := range ts {
@@ -92,11 +138,12 @@ func sameSeq(a, b []string) bool {
 	return true
 }
 
-// equivPlans is the operator-pair matrix: one entry per physical
-// operator with a batch counterpart or batch drain — including the
-// probe-side operators batched in PR 7 (joins, set ops, products,
-// merge division) — plus mixed trees crossing build/probe region
-// boundaries (division over a join, set ops feeding divisions).
+// equivPlans is the operator matrix: one entry per physical operator
+// — the streaming trio, the blocking emitters, the exchanges and the
+// probe-side operators (joins, set ops, products, merge division) —
+// plus mixed trees crossing build/probe boundaries (division over a
+// join, set ops feeding divisions) and the schema-only nodes the
+// compiler elides (rename chains, identity projections).
 func equivPlans(rng *rand.Rand) []struct {
 	name    string
 	node    plan.Node
@@ -131,6 +178,14 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		{"filter", &plan.Select{Input: r1, Pred: p}, false},
 		{"project", &plan.Project{Input: r1, Attrs: []string{"a"}}, false},
 		{"rename", &plan.Rename{Input: r1, From: "a", To: "x"}, false},
+		{"rename-chain-over-join", &plan.Rename{
+			Input: &plan.Rename{Input: join, From: "c", To: "y"}, From: "a", To: "x",
+		}, false},
+		{"identity-project-over-divide", &plan.Project{Input: div, Attrs: []string{"a"}}, false},
+		{"rename-over-identity-project", &plan.Rename{
+			Input: &plan.Project{Input: &plan.Rename{Input: r1, From: "b", To: "y"}, Attrs: []string{"a", "y"}},
+			From:  "a", To: "x",
+		}, false},
 		{"limit", &plan.Limit{Input: r1, N: int64(rng.Intn(12))}, false},
 		{"divide", div, false},
 		{"greatdivide", &plan.GreatDivide{Dividend: r1, Divisor: r2g}, false},
@@ -147,7 +202,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 			Input: &plan.Project{Input: &plan.Select{Input: div, Pred: p}, Attrs: []string{"a"}},
 			N:     int64(1 + rng.Intn(6)),
 		}, false},
-		// The probe-side operators batched in PR 7.
+		// The probe-side operators.
 		{"union", plan.Union(r1, u), false},
 		{"intersect", plan.Intersect(r1, u), false},
 		{"diff", plan.Diff(r1, u), false},
@@ -176,44 +231,35 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	}
 }
 
-// TestBatchMatchesTuplePath is the per-operator-pair equivalence
-// sweep: for every plan shape, the forced batch path must produce
-// exactly what the tuple path produces — the same sequence for
-// ordered plans, the same set otherwise — through both drain styles,
-// across batch sizes chosen to hit window boundaries (1, a prime
-// smaller than most outputs, and the default).
-func TestBatchMatchesTuplePath(t *testing.T) {
+// TestBatchMatchesEval is the per-operator equivalence sweep: for
+// every plan shape, the engine must produce exactly what plan.Eval
+// produces — the same sequence for ordered plans, the same set
+// otherwise — through both drain styles, across batch sizes chosen to
+// hit window boundaries (1, a prime smaller than most outputs, and
+// the default).
+func TestBatchMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		for _, c := range equivPlans(rng) {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff})))
-			for _, size := range []int{1, 7, 0} {
-				opts := CompileOptions{Batch: BatchForce, BatchSize: size}
-				got := seqKeys(drainSeq(t, CompileWith(c.node, nil, opts)))
-				check := func(got []string, via string) {
-					t.Helper()
-					if c.ordered && !sameSeq(got, want) {
-						t.Fatalf("trial %d %s (size %d, %s): sequence diverges\ngot  %v\nwant %v",
-							trial, c.name, size, via, got, want)
-					}
-					if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-						t.Fatalf("trial %d %s (size %d, %s): set diverges\ngot  %v\nwant %v",
-							trial, c.name, size, via, got, want)
-					}
+			for _, size := range []int{1, 7, 64} {
+				opts := CompileOptions{BatchSize: size}
+				it := CompileWith(c.node, nil, opts)
+				if msg := evalMismatch(c.node, c.ordered, it.Schema(), drainSeq(t, it)); msg != "" {
+					t.Fatalf("trial %d %s (size %d, Next): %s", trial, c.name, size, msg)
 				}
-				check(got, "Next")
-				if b, ok := CompileWith(c.node, nil, opts).(BatchIterator); ok {
-					check(seqKeys(drainBatchSeq(t, b)), "NextBatch")
+				it = CompileWith(c.node, nil, opts)
+				if msg := evalMismatch(c.node, c.ordered, it.Schema(), drainBatchSeq(t, it)); msg != "" {
+					t.Fatalf("trial %d %s (size %d, NextBatch): %s", trial, c.name, size, msg)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchMatchesTupleUnderForcedCollisions repeats the sweep with
+// TestBatchMatchesEvalUnderForcedCollisions repeats the sweep with
 // 3-bit hashes, so every hash-table probe in the batch drains and the
-// batch projection dedup runs its collision-verification logic.
-func TestBatchMatchesTupleUnderForcedCollisions(t *testing.T) {
+// projection dedup runs its collision-verification logic.
+func TestBatchMatchesEvalUnderForcedCollisions(t *testing.T) {
 	restore := hashkey.SetMaskForTesting(0x7)
 	defer restore()
 	rng := rand.New(rand.NewSource(43))
@@ -225,63 +271,75 @@ func TestBatchMatchesTupleUnderForcedCollisions(t *testing.T) {
 			plans = equivPlansGen(rng, randWideRelation)
 		}
 		for _, c := range plans {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff})))
-			got := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchForce, BatchSize: 3})))
-			if c.ordered && !sameSeq(got, want) {
-				t.Fatalf("trial %d %s: sequence diverges under collisions\ngot  %v\nwant %v",
-					trial, c.name, got, want)
-			}
-			if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-				t.Fatalf("trial %d %s: set diverges under collisions\ngot  %v\nwant %v",
-					trial, c.name, got, want)
+			it := CompileWith(c.node, nil, CompileOptions{BatchSize: 3})
+			if msg := evalMismatch(c.node, c.ordered, it.Schema(), drainSeq(t, it)); msg != "" {
+				t.Fatalf("trial %d %s under collisions: %s", trial, c.name, msg)
 			}
 		}
 	}
 }
 
-// TestBatchStatsParity: both paths label operators identically, so a
-// compiled plan reports the same per-operator tuple counts whichever
-// path ran it.
+// rootLabel is the Stats label of the operator under the root
+// adapter; renames and identity projections at the top of a plan
+// compile to no operator, so it is always a labelled one.
+func rootLabel(t *testing.T, it *FromBatch) string {
+	t.Helper()
+	f := reflect.ValueOf(it.Input).Elem().FieldByName("Label")
+	if !f.IsValid() {
+		t.Fatalf("root operator %T has no Stats label", it.Input)
+	}
+	return f.String()
+}
+
+// TestBatchStatsParity: on Limit-free plans (where no row budget is
+// armed), the per-operator tuple counts do not depend on the batch
+// size, and the root operator's count is the result's cardinality.
 func TestBatchStatsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	r1 := plan.NewScan("r1", randRelation(rng, []string{"a", "b"}, 50, 6))
-	r2 := plan.NewScan("r2", randRelation(rng, []string{"b"}, 3, 6))
-	node := &plan.Project{
-		Input: &plan.Select{
-			Input: &plan.Divide{Dividend: r1, Divisor: r2},
-			Pred:  pred.Compare(pred.Attr("a"), pred.Ge, pred.ConstInt(0)),
-		},
-		Attrs: []string{"a"},
-	}
-	tupleStats, batchStats := NewStats(), NewStats()
-	drainSeq(t, CompileWith(node, tupleStats, CompileOptions{Batch: BatchOff}))
-	drainSeq(t, CompileWith(node, batchStats, CompileOptions{Batch: BatchForce}))
-	want := tupleStats.Snapshot()
-	got := batchStats.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("label sets diverge:\nbatch %v\ntuple %v", got, want)
-	}
-	for label, n := range want {
-		if got[label] != n {
-			t.Errorf("stats[%q] = %d on the batch path, %d on the tuple path", label, got[label], n)
+	for trial := 0; trial < 10; trial++ {
+		for _, c := range equivPlans(rng) {
+			if _, ok := c.node.(*plan.Limit); ok {
+				continue
+			}
+			var want map[string]int64
+			for _, size := range []int{1, 7, 64} {
+				stats := NewStats()
+				it := CompileWith(c.node, stats, CompileOptions{BatchSize: size})
+				drainSeq(t, it)
+				got := stats.Snapshot()
+				if n, card := got[rootLabel(t, it)], int64(plan.Eval(c.node).Len()); n != card {
+					t.Errorf("trial %d %s (size %d): root emitted %d tuples, result has %d",
+						trial, c.name, size, n, card)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s: label sets diverge across batch sizes:\nsize %d %v\nsize 1 %v",
+						trial, c.name, size, got, want)
+				}
+				for label, n := range want {
+					if got[label] != n {
+						t.Errorf("trial %d %s: stats[%q] = %d at size %d, %d at size 1",
+							trial, c.name, label, got[label], size, n)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestBatchMixedNextThenBatch pins the dual-mode shared-cursor
-// contract: consuming a few tuples via Next and then switching to
-// NextBatch continues from the same cursor without loss or repeats.
+// TestBatchMixedNextThenBatch pins the root adapter's shared cursor:
+// consuming a few tuples via Next and then switching to NextBatch
+// continues from the same cursor without loss or repeats.
 func TestBatchMixedNextThenBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rel := randRelation(rng, []string{"a", "b"}, 100, 25)
 	node := plan.NewScan("r", rel)
-	want := seqKeys(drainSeq(t, CompileWith(node, nil, CompileOptions{Batch: BatchOff})))
+	want := seqKeys(plan.Eval(node).Tuples())
 
-	it := CompileWith(node, nil, CompileOptions{Batch: BatchForce, BatchSize: 8})
-	b, ok := it.(BatchIterator)
-	if !ok {
-		t.Fatalf("forced batch compile of a scan is %T, want a dual-mode BatchIterator", it)
-	}
+	it := CompileWith(node, nil, CompileOptions{BatchSize: 8})
 	if err := it.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +353,7 @@ func TestBatchMixedNextThenBatch(t *testing.T) {
 		got = append(got, tup.Key())
 	}
 	for {
-		batch, err := b.NextBatch()
+		batch, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,21 +367,17 @@ func TestBatchMixedNextThenBatch(t *testing.T) {
 	}
 }
 
-// TestBatchGoroutineLeaks mirrors TestExchangeGoroutineLeaks for the
-// batch surface: the exchange workers behind a parallel division
-// must die on every teardown path when the consumer drives NextBatch
-// instead of Next.
+// TestBatchGoroutineLeaks mirrors TestExchangeGoroutineLeaks for a
+// consumer that drives NextBatch instead of Next: the exchange workers
+// behind a parallel division must die on every teardown path.
 func TestBatchGoroutineLeaks(t *testing.T) {
 	node, _ := streamFixture()
-	opts := CompileOptions{ExchangeBuffer: 2, Batch: BatchForce}
+	opts := CompileOptions{ExchangeBuffer: 2}
 
-	openBatchRoot := func(t *testing.T, ctx context.Context) BatchIterator {
+	openBatchRoot := func(t *testing.T, ctx context.Context) Iterator {
 		t.Helper()
-		b, ok := CompileWith(node, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of a parallel divide must be a BatchIterator")
-		}
-		if err := b.OpenBatch(ctx); err != nil {
+		b := CompileWith(node, nil, opts)
+		if err := b.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return b
@@ -372,11 +426,8 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		rng := rand.New(rand.NewSource(61))
 		join := &plan.Join{Left: node, Right: plan.NewScan("w", randRelation(rng, []string{"a", "c"}, 120, 50))}
-		b, ok := CompileWith(join, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of join-over-parallel must be a BatchIterator")
-		}
-		if err := b.OpenBatch(context.Background()); err != nil {
+		b := CompileWith(join, nil, opts)
+		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if batch, err := b.NextBatch(); err != nil || batch == nil {
@@ -394,11 +445,8 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 		// and the served batch must stay intact past the child Close.
 		baseline := runtime.NumGoroutine()
 		lim := &plan.Limit{Input: node, N: 1}
-		b, ok := CompileWith(lim, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of limit-over-parallel must be a BatchIterator")
-		}
-		if err := b.OpenBatch(context.Background()); err != nil {
+		b := CompileWith(lim, nil, opts)
+		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		batch, err := b.NextBatch()
@@ -418,12 +466,10 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 	})
 }
 
-// TestBatchLimitNoOvershoot pins the row-budget protocol: LIMIT on
-// the batch path must not drain a full slab past the limit. Before
-// PR 7, LIMIT 1 over a 64-tuple batch scan pulled all 64 rows and
-// truncated after the fact; with budgets threaded through NextBatch,
-// the child serves a partial window and stops at row N — the same
-// consumption the tuple-path LimitIter has always had.
+// TestBatchLimitNoOvershoot pins the row-budget protocol: LIMIT must
+// not drain a full slab past the limit. With budgets threaded through
+// NextBatch, the child serves a partial window and stops at row N — the
+// consumption of a tuple-at-a-time pipeline.
 func TestBatchLimitNoOvershoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	scan := plan.NewScan("r", randRelation(rng, []string{"a", "b"}, 200, 50))
@@ -432,7 +478,7 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 		for _, size := range []int{1, 7, 0} {
 			stats := NewStats()
 			out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 1}, stats,
-				CompileOptions{Batch: BatchForce, BatchSize: size}))
+				CompileOptions{BatchSize: size}))
 			if len(out) != 1 {
 				t.Fatalf("size %d: LIMIT 1 returned %d tuples", size, len(out))
 			}
@@ -444,8 +490,7 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 
 	t.Run("LimitNOverScanReadsNRows", func(t *testing.T) {
 		stats := NewStats()
-		out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 5}, stats,
-			CompileOptions{Batch: BatchForce}))
+		out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 5}, stats, CompileOptions{}))
 		if len(out) != 5 {
 			t.Fatalf("LIMIT 5 returned %d tuples", len(out))
 		}
@@ -455,22 +500,31 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 	})
 
 	t.Run("StatsMatchTuplePathUnderLimitOne", func(t *testing.T) {
-		// With a budget of 1 every window is one row, so child
-		// consumption matches the tuple path exactly — even through a
-		// selective filter, where larger budgets may legitimately
-		// overscan inside the final window.
+		// With a budget of 1 every window is one row, so each operator
+		// reads exactly what a tuple-at-a-time pipeline would — even
+		// through a selective filter, where larger budgets may
+		// legitimately overscan inside the final window: the scan stops
+		// at the first qualifying row.
 		p := pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(30))
 		node := &plan.Limit{Input: &plan.Select{Input: scan, Pred: p}, N: 1}
-		tupleStats := NewStats()
-		drainSeq(t, CompileWith(node, tupleStats, CompileOptions{Batch: BatchOff}))
-		for _, size := range []int{1, 7, 0} {
-			batchStats := NewStats()
-			drainSeq(t, CompileWith(node, batchStats, CompileOptions{Batch: BatchForce, BatchSize: size}))
-			want, got := tupleStats.Snapshot(), batchStats.Snapshot()
+		read := int64(0)
+		for _, tup := range scan.Rel.Tuples() {
+			read++
+			if p.Eval(tup, scan.Rel.Schema()) {
+				break
+			}
+		}
+		want := map[string]int64{"root.0.0/scan(r)": read, "root.0/filter": 1, "root/limit": 1}
+		for _, size := range []int{1, 7, 64} {
+			stats := NewStats()
+			drainSeq(t, CompileWith(node, stats, CompileOptions{BatchSize: size}))
+			got := stats.Snapshot()
+			if len(got) != len(want) {
+				t.Fatalf("size %d: stats %v, want %v", size, got, want)
+			}
 			for label, n := range want {
 				if got[label] != n {
-					t.Errorf("size %d: stats[%q] = %d on the batch path, %d on the tuple path",
-						size, label, got[label], n)
+					t.Errorf("size %d: stats[%q] = %d, want %d", size, label, got[label], n)
 				}
 			}
 		}
@@ -480,12 +534,7 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 		// The raw NextBatch surface under LIMIT 1: one single-tuple
 		// batch, then end of stream — not a truncated 64-row slab.
 		stats := NewStats()
-		b, ok := CompileWith(&plan.Limit{Input: scan, N: 1}, stats,
-			CompileOptions{Batch: BatchForce}).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of a limit must be a BatchIterator")
-		}
-		out := drainBatchSeq(t, b)
+		out := drainBatchSeq(t, CompileWith(&plan.Limit{Input: scan, N: 1}, stats, CompileOptions{}))
 		if len(out) != 1 {
 			t.Fatalf("NextBatch drain of LIMIT 1 yielded %d tuples", len(out))
 		}

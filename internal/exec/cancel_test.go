@@ -81,7 +81,7 @@ func TestRunPropagatesCancellation(t *testing.T) {
 // ctx.Err() on every tuple of a blocking drain versus polling once
 // per DefaultCheckEvery tuples (the shipped design). The batched variant is
 // indistinguishable from no check at all, which is why the engine
-// batches instead of threading a per-Next context check through
+// batches instead of threading a per-tuple context check through
 // every iterator.
 func BenchmarkCancellationOverhead(b *testing.B) {
 	n := 64 * 1024
@@ -95,7 +95,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	b.Run("none", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			it := &ScanIter{Label: "scan", Rel: rel}
+			it := &FromBatch{Input: &ScanIter{Label: "scan", Rel: rel}}
 			if err := it.Open(ctx); err != nil {
 				b.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	b.Run("per-tuple", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			it := &ScanIter{Label: "scan", Rel: rel}
+			it := &FromBatch{Input: &ScanIter{Label: "scan", Rel: rel}}
 			if err := it.Open(ctx); err != nil {
 				b.Fatal(err)
 			}

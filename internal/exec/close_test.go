@@ -37,10 +37,10 @@ func TestIteratorCloseSafety(t *testing.T) {
 	}{
 		{"ScanIter", func() Iterator { return scan(ab) }},
 		{"FilterIter", func() Iterator {
-			return &FilterIter{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
+			return &FilterBatch{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
 		}},
 		{"ProjectIter", func() Iterator {
-			return &ProjectIter{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
+			return &ProjectBatch{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
 		}},
 		{"UnionIter", func() Iterator {
 			return &UnionIter{Label: "u", Left: scan(ab), Right: scan(ab2)}
@@ -79,16 +79,19 @@ func TestIteratorCloseSafety(t *testing.T) {
 			return &GroupIter{Label: "g", Input: scan(ab), By: []string{"a"}}
 		}},
 		{"LimitIter", func() Iterator {
-			return &LimitIter{Label: "l", Input: scan(ab), N: 2}
+			return &LimitBatch{Label: "l", Input: scan(ab), N: 2}
 		}},
 		{"LimitIterZero", func() Iterator {
-			return &LimitIter{Label: "l0", Input: scan(ab), N: 0}
+			return &LimitBatch{Label: "l0", Input: scan(ab), N: 0}
 		}},
 		{"SortIter", func() Iterator {
 			return &SortIter{Label: "so", Input: scan(ab)}
 		}},
 		{"RenameIter", func() Iterator {
-			return &RenameIter{Input: scan(ab), From: "a", To: "z"}
+			return &RenameBatch{Input: scan(ab), Out: schema.New("z", "b")}
+		}},
+		{"FromBatch", func() Iterator {
+			return &FromBatch{Input: scan(ab)}
 		}},
 	}
 
@@ -110,11 +113,11 @@ func TestIteratorCloseSafety(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			for {
-				_, ok, err := it.Next()
+				b, err := it.NextBatch()
 				if err != nil {
-					t.Fatalf("Next: %v", err)
+					t.Fatalf("NextBatch: %v", err)
 				}
-				if !ok {
+				if b == nil {
 					break
 				}
 			}
@@ -125,10 +128,10 @@ func TestIteratorCloseSafety(t *testing.T) {
 				t.Errorf("Close twice: %v", err)
 			}
 
-			// Next after Close must not panic; it may report an error
-			// or end-of-stream, but never a tuple.
-			if tup, ok, _ := it.Next(); ok {
-				t.Errorf("Next after Close produced a tuple: %v", tup)
+			// NextBatch after Close must not panic; it may report an
+			// error or end-of-stream, but never a batch.
+			if b, _ := it.NextBatch(); b != nil {
+				t.Errorf("NextBatch after Close produced a batch: %v", b.Tuples())
 			}
 		})
 	}

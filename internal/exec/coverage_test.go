@@ -12,8 +12,8 @@ func TestCloseIdempotent(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
 	iters := []Iterator{
 		&ScanIter{Rel: r},
-		&FilterIter{Input: &ScanIter{Rel: r}, Pred: truePred{}},
-		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&FilterBatch{Input: &ScanIter{Rel: r}, Pred: truePred{}},
+		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&SortIter{Input: &ScanIter{Rel: r}},
 	}
 	for _, it := range iters {
@@ -87,8 +87,8 @@ func TestDivideItersNotOpen(t *testing.T) {
 		&GroupIter{Input: r1, By: []string{"a"}},
 		&ThetaJoinIter{Left: r1, Right: r2, Pred: truePred{}},
 	} {
-		if _, _, err := it.Next(); err == nil {
-			t.Errorf("%T.Next before Open should error", it)
+		if _, err := it.NextBatch(); err == nil {
+			t.Errorf("%T.NextBatch before Open should error", it)
 		}
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // ThetaJoinIter is a nested-loop join with an arbitrary predicate
-// over the concatenated schemas (which must be disjoint). It is
-// dual-mode: NextBatch filters whole batches of the inner product
-// into a pooled output batch, the predicate evaluated per tuple but
-// all interface costs per batch.
+// over the concatenated schemas (which must be disjoint): it filters
+// whole batches of the inner product into a pooled output batch, the
+// predicate evaluated per tuple but all interface costs per batch.
 type ThetaJoinIter struct {
 	Label       string
 	Left, Right Iterator
@@ -37,10 +36,7 @@ func (j *ThetaJoinIter) Open(ctx context.Context) error {
 	return j.inner.Open(ctx)
 }
 
-// OpenBatch implements BatchIterator.
-func (j *ThetaJoinIter) OpenBatch(ctx context.Context) error { return j.Open(ctx) }
-
-// NextBatch implements BatchIterator: each inner product batch is
+// NextBatch implements Iterator: each inner product batch is
 // filtered through the predicate into a pooled output batch. The
 // armed row budget is re-armed on the inner product before every pull
 // (the filter only shrinks batches).
@@ -70,23 +66,6 @@ func (j *ThetaJoinIter) NextBatch() (*relation.Batch, error) {
 	}
 }
 
-// Next implements Iterator.
-func (j *ThetaJoinIter) Next() (relation.Tuple, bool, error) {
-	if j.inner == nil {
-		return nil, false, errNotOpen("ThetaJoinIter")
-	}
-	for {
-		t, ok, err := j.inner.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if j.Pred.Eval(t, j.out) {
-			j.Stats.count(j.Label, 1)
-			return t, true, nil
-		}
-	}
-}
-
 // Close implements Iterator. It is a no-op before Open (the inner
 // product, and with it the children, only exist after Open).
 func (j *ThetaJoinIter) Close() error {
@@ -112,9 +91,8 @@ func (j *ThetaJoinIter) Schema() schema.Schema {
 // dividend consumed in one pass straight off its child iterator —
 // neither input is materialized into an intermediate relation — and
 // qualifying quotient groups emitted afterwards. It is blocking on
-// the dividend but needs no sorted inputs. It is dual-mode: the
-// quotient is emitted per tuple or per zero-copy batch over one
-// shared cursor, and batch-capable children are drained in batches.
+// the dividend but needs no sorted inputs. The quotient is emitted in
+// zero-copy windows.
 type HashDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
@@ -182,31 +160,7 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (h *HashDivideIter) OpenBatch(ctx context.Context) error { return h.Open(ctx) }
-
-// Next implements Iterator.
-func (h *HashDivideIter) Next() (relation.Tuple, bool, error) {
-	if !h.opened {
-		return nil, false, errNotOpen("HashDivideIter")
-	}
-	if h.grace != nil {
-		t, ok, err := h.grace.next(h.gctx)
-		if ok {
-			h.Stats.count(h.Label, 1)
-		}
-		return t, ok, err
-	}
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	t := h.results[h.pos]
-	h.pos++
-	h.Stats.count(h.Label, 1)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (h *HashDivideIter) NextBatch() (*relation.Batch, error) {
 	if !h.opened {
 		return nil, errNotOpen("HashDivideIter")
@@ -255,10 +209,9 @@ func (h *HashDivideIter) Schema() schema.Schema {
 // attributes A and emits each qualifying quotient as soon as its
 // group ends, holding only the divisor table and the current group's
 // progress in memory. This is the operator shape that makes Law 1's
-// pipeline parallelism possible. It is dual-mode: NextBatch consumes
-// the sorted dividend a batch at a time, runs the same group machinery
-// over the whole batch, and emits finished quotients into a pooled
-// output batch — the group-in-progress state is shared with Next.
+// pipeline parallelism possible. NextBatch consumes the sorted
+// dividend a batch at a time and emits finished quotients into a
+// pooled output batch.
 type MergeGroupDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
@@ -280,9 +233,8 @@ type MergeGroupDivideIter struct {
 	srcDone bool
 	opened  bool
 
-	srcFeed batchFeed
-	div     []relation.Tuple
-	dPos    int
+	div  []relation.Tuple
+	dPos int
 }
 
 // Open implements Iterator.
@@ -312,19 +264,15 @@ func (m *MergeGroupDivideIter) Open(ctx context.Context) error {
 	m.curA, m.curBits, m.curSeen = nil, nil, 0
 	m.srcDone = false
 	m.opened = true
-	m.srcFeed = batchFeed{child: m.Dividend, size: m.BatchSize}
 	m.div, m.dPos = nil, 0
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (m *MergeGroupDivideIter) OpenBatch(ctx context.Context) error { return m.Open(ctx) }
-
-// NextBatch implements BatchIterator: the sorted dividend flows in a
+// NextBatch implements Iterator: the sorted dividend flows in a
 // batch at a time, the group machinery runs over whole batches, and
 // each qualifying quotient lands in a pooled output batch the moment
 // its group ends. An armed row budget bounds the output batch (the
-// dividend feed is unbounded: group sizes are unknown ahead of time).
+// dividend pull is unbounded: group sizes are unknown ahead of time).
 func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 	if !m.opened {
 		return nil, errNotOpen("MergeGroupDivideIter")
@@ -344,7 +292,7 @@ func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 			break
 		}
 		if m.dPos >= len(m.div) {
-			ts, err := m.srcFeed.next(0)
+			ts, err := pull(m.Dividend, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -375,50 +323,6 @@ func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 	}
 	m.Stats.count(m.Label, int64(out.Len()))
 	return out, nil
-}
-
-// Next implements Iterator.
-func (m *MergeGroupDivideIter) Next() (relation.Tuple, bool, error) {
-	if !m.opened {
-		return nil, false, errNotOpen("MergeGroupDivideIter")
-	}
-	for {
-		if m.srcDone {
-			// Flush the final group, once.
-			if m.curA != nil {
-				q, qualifies := m.finishGroup()
-				m.curA = nil
-				if qualifies {
-					m.Stats.count(m.Label, 1)
-					return q, true, nil
-				}
-			}
-			return nil, false, nil
-		}
-		t, ok, err := m.Dividend.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			m.srcDone = true
-			continue
-		}
-		at := t.Project(m.aPos)
-		if m.curA == nil {
-			m.startGroup(at)
-		} else if at.Compare(m.curA) != 0 {
-			// Group boundary: finish current, stash the tuple.
-			q, qualifies := m.finishGroup()
-			m.startGroup(at)
-			m.absorb(t)
-			if qualifies {
-				m.Stats.count(m.Label, 1)
-				return q, true, nil
-			}
-			continue
-		}
-		m.absorb(t)
-	}
 }
 
 func (m *MergeGroupDivideIter) startGroup(a relation.Tuple) {
@@ -452,7 +356,6 @@ func (m *MergeGroupDivideIter) Close() error {
 	m.opened = false
 	m.div, m.dPos = nil, 0
 	m.release()
-	m.srcFeed.release()
 	err1 := m.Dividend.Close()
 	err2 := m.Divisor.Close()
 	if err1 != nil {
@@ -477,9 +380,8 @@ func (m *MergeGroupDivideIter) Schema() schema.Schema {
 // GreatDivideIter is the physical set-containment-division operator:
 // blocking on both inputs, hash-based counting. Both inputs are
 // consumed straight off the child iterators into the counting state,
-// which absorbs duplicates itself — no intermediate relations. It is
-// dual-mode like HashDivideIter: per-tuple or per-batch emission over
-// one shared cursor, batch drains of batch-capable children.
+// which absorbs duplicates itself — no intermediate relations. Like
+// HashDivideIter it emits the quotient in zero-copy windows.
 type GreatDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
@@ -548,31 +450,7 @@ func (g *GreatDivideIter) Open(ctx context.Context) error {
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (g *GreatDivideIter) OpenBatch(ctx context.Context) error { return g.Open(ctx) }
-
-// Next implements Iterator.
-func (g *GreatDivideIter) Next() (relation.Tuple, bool, error) {
-	if !g.opened {
-		return nil, false, errNotOpen("GreatDivideIter")
-	}
-	if g.grace != nil {
-		t, ok, err := g.grace.next(g.gctx)
-		if ok {
-			g.Stats.count(g.Label, 1)
-		}
-		return t, ok, err
-	}
-	if g.pos >= len(g.results) {
-		return nil, false, nil
-	}
-	t := g.results[g.pos]
-	g.pos++
-	g.Stats.count(g.Label, 1)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (g *GreatDivideIter) NextBatch() (*relation.Batch, error) {
 	if !g.opened {
 		return nil, errNotOpen("GreatDivideIter")

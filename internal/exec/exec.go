@@ -1,7 +1,7 @@
-// Package exec is a Volcano-style physical execution engine: every
-// operator is an Iterator with Open/Next/Close, tuples flow through
-// pipelines without materializing intermediate relations unless an
-// operator is inherently blocking.
+// Package exec is the physical execution engine: every operator is an
+// Iterator that moves tuples in batches, and pipelines stream without
+// materializing intermediate relations unless an operator is
+// inherently blocking.
 //
 // The engine exists to make the paper's execution-level arguments
 // measurable: hash-division consumes its dividend in one pass
@@ -23,21 +23,25 @@
 // is deliberately batched rather than per-tuple: a ctx.Err() call per
 // tuple costs a mutex acquisition in the hot loop, while the batched
 // check is amortized to noise (see BenchmarkCancellationOverhead for
-// the measurement that picked this design over per-Next checks).
+// the measurement that picked this design over per-tuple checks).
 //
 // # Batch execution
 //
-// Beside the tuple-at-a-time Iterator protocol sits BatchIterator,
-// the batch-at-a-time fast path: operators exchange reused
-// relation.Batch slabs so per-tuple interface calls and context
-// bookkeeping are amortized across a whole batch. CompileWith selects
-// it automatically for every fully batch-capable subtree; the tuple
-// path remains intact as the correctness oracle (see the equivalence
-// tests) and for the operators that stay tuple-only.
+// Operators exchange reused relation.Batch slabs of up to
+// CompileOptions.BatchSize tuples, so per-call interface costs and
+// context bookkeeping are amortized across a whole batch. There is
+// one operator surface; the only tuple-at-a-time code is FromBatch,
+// the adapter CompileWith puts at the root for row-wise consumers. A
+// bounded consumer (LIMIT, a fused top-k) arms its child with the rows
+// it still needs, so LIMIT 1 reads one row (see rowBudgeter). Nodes
+// that only relabel the schema cost nothing per row: a rename chain
+// compiles to one pass-through node (or into the scan or root adapter
+// below or above it), and a projection onto the child's own attribute
+// order compiles to the child itself.
 //
 // Two per-row costs are attacked on top of that protocol, each with
-// the structure measurement picked. Set-op and semijoin batch probes
-// hash each incoming batch in one pass through the wide hash kernel
+// the structure measurement picked. Set-op and semijoin probes hash
+// each incoming batch in one pass through the wide hash kernel
 // (relation.Hash64ProjBatch over hashkey's word-at-a-time string
 // mixer) and then walk the table with precomputed hashes; the hash
 // join instead probes row-at-the-cursor through the fused
@@ -63,15 +67,21 @@ import (
 )
 
 // Iterator is the physical operator interface.
+//
+// Protocol: Open before the first NextBatch; NextBatch returns nil at
+// end of stream and never an empty batch; the returned batch is owned
+// by the operator and valid only until the next NextBatch or Close
+// (the tuples inside are immutable and may be retained). Close is
+// idempotent.
 type Iterator interface {
 	// Open prepares the operator (allocating hash tables, opening
-	// children) under the given context. It must be called before
-	// Next. Blocking operators honor ctx cancellation while they
-	// consume their children; the context must stay valid until
-	// Close.
+	// children) under the given context. Blocking operators honor ctx
+	// cancellation while they consume their children; the context must
+	// stay valid until Close.
 	Open(ctx context.Context) error
-	// Next produces the next tuple. ok is false at end of stream.
-	Next() (t relation.Tuple, ok bool, err error)
+	// NextBatch produces the next batch, nil at end of stream. The
+	// batch is reused: it is valid only until the next call.
+	NextBatch() (*relation.Batch, error)
 	// Close releases resources. Close is idempotent and safe to call
 	// mid-stream (after a context cancellation, for example).
 	Close() error
@@ -90,33 +100,49 @@ func drain(ctx context.Context, child Iterator, sink func(relation.Tuple)) error
 	return drainEvery(ctx, child, 0, sink)
 }
 
-// drainEvery consumes child into sink, polling ctx at least every
-// `every` tuples (DefaultCheckEvery when every <= 0). When the child
-// is batch-capable, it drains whole batches instead — the per-tuple
-// Next calls and context bookkeeping collapse to one indexed loop and
-// one counter update per batch.
+// drainEvery consumes child into sink a whole batch at a time,
+// polling ctx at least every `every` tuples (DefaultCheckEvery when
+// every <= 0).
 func drainEvery(ctx context.Context, child Iterator, every int, sink func(relation.Tuple)) error {
-	if b, ok := child.(BatchIterator); ok {
-		return drainBatches(ctx, b, every, func(ts []relation.Tuple) {
-			for _, t := range ts {
-				sink(t)
+	return drainBatches(ctx, child, every, func(ts []relation.Tuple) error {
+		for _, t := range ts {
+			sink(t)
+		}
+		return nil
+	})
+}
+
+// drainEveryErr is drainEvery with an erroring sink: the drain stops
+// at the sink's first error and returns it.
+func drainEveryErr(ctx context.Context, child Iterator, every int, sink func(relation.Tuple) error) error {
+	return drainBatches(ctx, child, every, func(ts []relation.Tuple) error {
+		for _, t := range ts {
+			if err := sink(t); err != nil {
+				return err
 			}
-		})
-	}
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
+		}
+		return nil
+	})
+}
+
+// drainBatches is the loop under drainEvery: whole batches go to
+// sink, with the cooperative context poll at batch boundaries (still
+// at least every `every` tuples).
+func drainBatches(ctx context.Context, child Iterator, every int, sink func([]relation.Tuple) error) error {
+	every = effEvery(every)
 	n := 0
 	for {
-		t, ok, err := child.Next()
+		b, err := child.NextBatch()
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if b == nil {
 			return nil
 		}
-		sink(t)
-		if n++; n >= every {
+		if err := sink(b.Tuples()); err != nil {
+			return err
+		}
+		if n += b.Len(); n >= every {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				return err
@@ -211,11 +237,12 @@ func Drain(ctx context.Context, it Iterator) (int64, error) {
 	}
 	defer it.Close()
 	var n int64
-	if err := drain(ctx, it, func(relation.Tuple) { n++ }); err != nil {
-		return n, err
-	}
-	return n, nil
+	err := drainBatches(ctx, it, 0, func(ts []relation.Tuple) error {
+		n += int64(len(ts))
+		return nil
+	})
+	return n, err
 }
 
 // errNotOpen guards against protocol misuse.
-func errNotOpen(op string) error { return fmt.Errorf("exec: %s.Next before Open", op) }
+func errNotOpen(op string) error { return fmt.Errorf("exec: %s.NextBatch before Open", op) }

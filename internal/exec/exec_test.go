@@ -174,13 +174,13 @@ func TestIteratorProtocolErrors(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
 	iters := []Iterator{
 		&ScanIter{Rel: r},
-		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&UnionIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 		&HashSetOpIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 	}
 	for _, it := range iters {
-		if _, _, err := it.Next(); err == nil {
-			t.Errorf("%T.Next before Open should error", it)
+		if _, err := it.NextBatch(); err == nil {
+			t.Errorf("%T.NextBatch before Open should error", it)
 		}
 	}
 }
@@ -260,7 +260,7 @@ func TestStatsNilSafe(t *testing.T) {
 
 func TestSortIterByPos(t *testing.T) {
 	r := relation.Ints([]string{"a", "b"}, [][]int64{{2, 1}, {1, 9}, {1, 3}})
-	s := &SortIter{Input: &ScanIter{Rel: r}, ByPos: []int{0}}
+	s := &FromBatch{Input: &SortIter{Input: &ScanIter{Rel: r}, ByPos: []int{0}}}
 	if err := s.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}

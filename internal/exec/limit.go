@@ -7,20 +7,24 @@ import (
 	"divlaws/internal/schema"
 )
 
-// LimitIter passes through the first N tuples of its input and ends
-// the stream, closing the child as soon as the limit is reached —
+// LimitBatch passes through the first N tuples of its input and ends
+// the stream, closing the child the moment the N-th tuple surfaces —
 // not when the parent eventually calls Close — so blocking and
 // streaming subtrees stop working immediately. Over a parallel
 // exchange this is the early-exit pushdown: reaching the limit
-// cancels the exchange and every partition worker mid-stream, and
-// the rest of the quotient is never computed. A limit of zero never
-// opens the child at all.
-type LimitIter struct {
+// cancels the exchange and every partition worker mid-stream, and the
+// rest of the quotient is never computed. A limit of zero never opens
+// the child at all. Before every pull it arms the child with the
+// remaining row budget (see rowBudgeter), so a budget-aware subtree
+// produces exactly the rows the limit still needs instead of draining
+// a full slab past it: LIMIT 1 reads one row.
+type LimitBatch struct {
 	Label string
 	Input Iterator
 	N     int64
 	Stats *Stats
 
+	windowBatcher
 	seen    int64
 	opened  bool
 	stopped bool  // child released early, before Close
@@ -28,7 +32,7 @@ type LimitIter struct {
 }
 
 // Open implements Iterator.
-func (l *LimitIter) Open(ctx context.Context) error {
+func (l *LimitBatch) Open(ctx context.Context) error {
 	l.seen = 0
 	l.stopped = l.N <= 0
 	l.stopErr = nil
@@ -41,38 +45,51 @@ func (l *LimitIter) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Iterator.
-func (l *LimitIter) Next() (relation.Tuple, bool, error) {
+// NextBatch implements Iterator.
+func (l *LimitBatch) NextBatch() (*relation.Batch, error) {
 	if !l.opened {
-		return nil, false, errNotOpen("LimitIter")
+		return nil, errNotOpen("LimitBatch")
 	}
 	if l.stopped || l.seen >= l.N {
 		// Report an early-teardown error once, at end of stream —
-		// never in place of the valid final tuple.
+		// never in place of the valid final batch.
 		err := l.stopErr
 		l.stopErr = nil
-		return nil, false, err
+		return nil, err
 	}
-	t, ok, err := l.Input.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	ts, err := pull(l.Input, l.N-l.seen)
+	if err != nil || ts == nil {
+		return nil, err
 	}
-	l.seen++
-	l.Stats.count(l.Label, 1)
-	if l.seen >= l.N {
-		// Limit reached: release the subtree now. Close is idempotent,
-		// so the parent's eventual Close stays harmless. A teardown
-		// error must not eat the tuple the consumer asked for; it
-		// surfaces on the next call (or from Close).
-		l.stopped = true
-		l.stopErr = l.Input.Close()
+	if rem := l.N - l.seen; int64(len(ts)) > rem {
+		ts = ts[:rem]
 	}
-	return t, true, nil
+	l.seen += int64(len(ts))
+	l.Stats.count(l.Label, int64(len(ts)))
+	if l.seen < l.N {
+		return l.adopt(ts), nil
+	}
+	// Limit reached: release the subtree now. Close is idempotent, so
+	// the parent's eventual Close stays harmless. A teardown error
+	// surfaces on the next call (or from Close), never in place of the
+	// batch the consumer asked for. Closing the child recycles the slab
+	// behind ts, so the final batch is copied, not adopted.
+	if l.wb == nil {
+		l.wb = relation.GetBatch(len(ts))
+	}
+	l.wb.Reset()
+	for _, t := range ts {
+		l.wb.Append(t)
+	}
+	l.stopped = true
+	l.stopErr = l.Input.Close()
+	return l.wb, nil
 }
 
 // Close implements Iterator.
-func (l *LimitIter) Close() error {
+func (l *LimitBatch) Close() error {
 	l.opened = false
+	l.release()
 	err := l.Input.Close()
 	if err == nil {
 		err = l.stopErr
@@ -82,4 +99,4 @@ func (l *LimitIter) Close() error {
 }
 
 // Schema implements Iterator.
-func (l *LimitIter) Schema() schema.Schema { return l.Input.Schema() }
+func (l *LimitBatch) Schema() schema.Schema { return l.Input.Schema() }

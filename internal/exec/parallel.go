@@ -38,7 +38,7 @@ type exchange struct {
 	done   chan struct{}
 	err    error
 
-	cur []relation.Tuple // batch being consumed
+	cur []relation.Tuple // remainder of a budget-capped worker batch
 	pos int
 }
 
@@ -73,26 +73,8 @@ func startExchange(ctx context.Context, buffer int, run func(ctx context.Context
 	return ex
 }
 
-// next pulls one tuple off the exchange; ok is false at end of
-// stream, in which case err reports how the workers finished.
-func (ex *exchange) next() (t relation.Tuple, ok bool, err error) {
-	for ex.pos >= len(ex.cur) {
-		batch, ok := <-ex.ch
-		if !ok {
-			<-ex.done
-			return nil, false, ex.err
-		}
-		ex.cur, ex.pos = batch, 0
-	}
-	t = ex.cur[ex.pos]
-	ex.pos++
-	return t, true, nil
-}
-
-// nextBatch pulls one worker batch off the exchange untouched — the
-// batch pass-through of the batch execution path: the workers' tuple
-// slices flow to the consumer without re-tuplifying. A batch
-// partially consumed by next is served as its remainder first. A
+// nextBatch pulls one worker batch off the exchange untouched: the
+// workers' tuple slices flow to the consumer without copying. A
 // positive limit (the consumer's row budget) caps the served window,
 // keeping the rest of the worker batch as the remainder cursor — a
 // bounded consumer sees exactly the rows it asked for. nil tuples
@@ -182,7 +164,7 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 // under c2, which the partitioning establishes by construction), and
 // launches one goroutine per partition; each worker runs the
 // streaming division.DivideState over its partition and emits its
-// finished quotient tuples into a bounded channel. Next pulls from
+// finished quotient tuples into a bounded channel. NextBatch pulls from
 // the channel, so the first row surfaces as soon as the first
 // partition resolves — the pipeline above never waits for the
 // slowest worker — and Close (or context cancellation) tears the
@@ -202,7 +184,7 @@ type ParallelDivideIter struct {
 	// TopKN, when positive, switches the exchange to its order-aware
 	// top-k form: every partition worker keeps an O(TopKN) heap over
 	// the TopKPos/TopKDesc keys and the consumer k-way merges the
-	// per-partition runs, so Next serves the global top TopKN in key
+	// per-partition runs, so NextBatch serves the global top TopKN in key
 	// order without the quotient ever materializing.
 	TopKN    int64
 	TopKPos  []int
@@ -387,39 +369,7 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (p *ParallelDivideIter) OpenBatch(ctx context.Context) error { return p.Open(ctx) }
-
-// Next implements Iterator.
-func (p *ParallelDivideIter) Next() (relation.Tuple, bool, error) {
-	if p.fbTopK {
-		if p.fPos >= len(p.fallback) {
-			return nil, false, nil
-		}
-		t := p.fallback[p.fPos]
-		p.fPos++
-		p.Stats.count(p.Label, 1)
-		return t, true, nil
-	}
-	if p.fb {
-		t, ok, err := p.grace.next(p.gctx)
-		if ok {
-			p.Stats.count(p.Label, 1)
-		}
-		return t, ok, err
-	}
-	if p.ex == nil {
-		return nil, false, errNotOpen("ParallelDivideIter")
-	}
-	t, ok, err := p.ex.next()
-	if !ok {
-		return nil, false, err
-	}
-	p.Stats.count(p.Label, 1)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator: the workers' emission batches
+// NextBatch implements Iterator: the workers' emission batches
 // flow through untouched, capped by any armed row budget.
 func (p *ParallelDivideIter) NextBatch() (*relation.Batch, error) {
 	if p.fbTopK {
@@ -750,39 +700,7 @@ func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split divisi
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (g *ParallelGreatDivideIter) OpenBatch(ctx context.Context) error { return g.Open(ctx) }
-
-// Next implements Iterator.
-func (g *ParallelGreatDivideIter) Next() (relation.Tuple, bool, error) {
-	if g.fbTopK {
-		if g.fPos >= len(g.fallback) {
-			return nil, false, nil
-		}
-		t := g.fallback[g.fPos]
-		g.fPos++
-		g.Stats.count(g.Label, 1)
-		return t, true, nil
-	}
-	if g.fb {
-		t, ok, err := g.grace.next(g.gctx)
-		if ok {
-			g.Stats.count(g.Label, 1)
-		}
-		return t, ok, err
-	}
-	if g.ex == nil {
-		return nil, false, errNotOpen("ParallelGreatDivideIter")
-	}
-	t, ok, err := g.ex.next()
-	if !ok {
-		return nil, false, err
-	}
-	g.Stats.count(g.Label, 1)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator: the workers' emission batches
+// NextBatch implements Iterator: the workers' emission batches
 // flow through untouched, capped by any armed row budget.
 func (g *ParallelGreatDivideIter) NextBatch() (*relation.Batch, error) {
 	if g.fbTopK {
@@ -842,8 +760,7 @@ func (g *ParallelGreatDivideIter) Schema() schema.Schema {
 }
 
 // drainChild opens a child iterator and materializes it, honoring
-// ctx cancellation via the shared drain loop (batch drains for
-// batch-capable children).
+// ctx cancellation via the shared drain loop.
 func drainChild(ctx context.Context, it Iterator, every int) (*relation.Relation, error) {
 	if err := it.Open(ctx); err != nil {
 		return nil, err

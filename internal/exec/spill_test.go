@@ -16,17 +16,17 @@ import (
 
 // These tests pin the out-of-core invariant: execution under a memory
 // budget is an exact drop-in for unlimited execution. Every plan
-// shape from the batch-equivalence matrix is compiled against the
-// unlimited tuple-path oracle and against budgets small enough to
-// force sorts into external merge runs and the hash operators into
-// grace partitioning — and compared tuple-for-tuple, on both the
-// tuple and batch surfaces. Teardown hygiene (no leaked run files, no
-// leaked goroutines) and fault injection (spill write/read failures
-// surfacing as query errors) ride the same fixtures.
+// shape from the batch-equivalence matrix is compiled under budgets
+// small enough to force sorts into external merge runs and the hash
+// operators into grace partitioning, and compared tuple-for-tuple
+// with the unlimited reference evaluator plan.Eval. Teardown hygiene
+// (no leaked run files, no leaked goroutines) and fault injection
+// (spill write/read failures surfacing as query errors) ride the same
+// fixtures.
 
 // drainSeqErr is drainSeq without the t.Fatal on pipeline errors,
 // for paths where an error is the expected outcome.
-func drainSeqErr(ctx context.Context, it Iterator) ([]relation.Tuple, error) {
+func drainSeqErr(ctx context.Context, it *FromBatch) ([]relation.Tuple, error) {
 	if err := it.Open(ctx); err != nil {
 		it.Close()
 		return nil, err
@@ -47,35 +47,25 @@ func drainSeqErr(ctx context.Context, it Iterator) ([]relation.Tuple, error) {
 
 // TestSpillMatchesUnlimited is the equivalence sweep: every plan
 // shape, drained under budgets that force out-of-core execution, must
-// produce exactly what the unlimited oracle produces — the same
-// sequence for ordered plans (external merge preserves the canonical
-// tie-broken sort order), the same set otherwise — on both the tuple
-// and forced-batch paths.
+// produce exactly what plan.Eval produces — the same sequence for
+// ordered plans (external merge preserves the canonical tie-broken
+// sort order), the same set otherwise.
 func TestSpillMatchesUnlimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	var totalSpilled int64
 	for trial := 0; trial < 10; trial++ {
 		for _, c := range equivPlans(rng) {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil,
-				CompileOptions{Batch: BatchOff, MemoryLimit: -1})))
 			for _, budget := range []int64{4 << 10, 32 << 10} {
-				for _, mode := range []BatchMode{BatchOff, BatchForce} {
-					tr := spill.NewTracker(budget)
-					got := seqKeys(drainSeq(t, CompileWith(c.node, nil,
-						CompileOptions{Batch: mode, Spill: tr})))
-					totalSpilled += tr.Snapshot().Spilled
-					if n := tr.LiveRuns(); n != 0 {
-						t.Errorf("trial %d %s (budget %d): %d run files leaked", trial, c.name, budget, n)
-					}
-					tr.Close()
-					if c.ordered && !sameSeq(got, want) {
-						t.Fatalf("trial %d %s (budget %d, batch %v): sequence diverges\ngot  %v\nwant %v",
-							trial, c.name, budget, mode, got, want)
-					}
-					if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-						t.Fatalf("trial %d %s (budget %d, batch %v): set diverges\ngot  %v\nwant %v",
-							trial, c.name, budget, mode, got, want)
-					}
+				tr := spill.NewTracker(budget)
+				it := CompileWith(c.node, nil, CompileOptions{Spill: tr})
+				got := drainSeq(t, it)
+				totalSpilled += tr.Snapshot().Spilled
+				if n := tr.LiveRuns(); n != 0 {
+					t.Errorf("trial %d %s (budget %d): %d run files leaked", trial, c.name, budget, n)
+				}
+				tr.Close()
+				if msg := evalMismatch(c.node, c.ordered, it.Schema(), got); msg != "" {
+					t.Fatalf("trial %d %s (budget %d): %s", trial, c.name, budget, msg)
 				}
 			}
 		}

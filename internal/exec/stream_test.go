@@ -122,7 +122,7 @@ func TestLimitCancelsParallelDivide(t *testing.T) {
 	if _, ok, err := it.Next(); err != nil || !ok {
 		t.Fatalf("Next = (%t, %v)", ok, err)
 	}
-	// The limit is reached, so LimitIter has already closed the
+	// The limit is reached, so LimitBatch has already closed the
 	// exchange; the second Next ends the stream.
 	if _, ok, _ := it.Next(); ok {
 		t.Fatal("LIMIT 1 produced a second row")
@@ -224,7 +224,7 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 
 	t.Run("WorkerError", func(t *testing.T) {
 		// A worker that fails mid-stream (after emitting part of its
-		// output) must surface its error through next() at end of
+		// output) must surface its error through nextBatch at end of
 		// stream and leave no goroutines behind.
 		baseline := runtime.NumGoroutine()
 		errBoom := errors.New("boom")
@@ -238,14 +238,14 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 		})
 		seen := 0
 		for {
-			_, ok, err := ex.next()
-			if !ok {
+			ts, err := ex.nextBatch(0)
+			if ts == nil {
 				if err != errBoom {
 					t.Fatalf("exchange error = %v, want boom", err)
 				}
 				break
 			}
-			seen++
+			seen += len(ts)
 		}
 		if seen != 5 {
 			t.Fatalf("received %d tuples before the worker error, want 5", seen)
@@ -268,8 +268,8 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 			}
 			return errBoom
 		})
-		if _, ok, err := ex.next(); !ok || err != nil {
-			t.Fatalf("next = (%t, %v)", ok, err)
+		if ts, err := ex.nextBatch(0); len(ts) != 1 || err != nil {
+			t.Fatalf("nextBatch = (%v, %v)", ts, err)
 		}
 		ex.stop()
 		waitGoroutines(t, baseline)
@@ -297,11 +297,11 @@ func (c *closeErrIter) Close() error {
 func TestLimitKeepsFinalTupleOnCloseError(t *testing.T) {
 	node, _ := streamFixture()
 	errBoom := errors.New("boom")
-	lim := &LimitIter{
+	lim := &FromBatch{Input: &LimitBatch{
 		Label: "l",
 		Input: &closeErrIter{Iterator: Compile(node, nil), err: errBoom},
 		N:     1,
-	}
+	}}
 	if err := lim.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}

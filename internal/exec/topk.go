@@ -23,12 +23,11 @@ func resolveSortKeys(sch schema.Schema, keys []plan.SortKey) (pos []int, desc []
 
 // TopKIter emits the K smallest tuples of its input in key order,
 // holding O(K) tuples live: Open drains the child into a bounded
-// max-heap (relation.TopKHeap) and — like LimitIter at the limit
+// max-heap (relation.TopKHeap) and — like LimitBatch at the limit
 // boundary — closes the child the moment it is exhausted, so
 // blocking and streaming subtrees release their resources before the
 // first result tuple is served. K <= 0 never opens the child at all.
-// It is dual-mode: the top-k run is emitted per tuple or per
-// zero-copy batch over one shared cursor.
+// The top-k run is emitted in zero-copy windows.
 type TopKIter struct {
 	Label string
 	Input Iterator
@@ -71,24 +70,7 @@ func (t *TopKIter) Open(ctx context.Context) error {
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (t *TopKIter) OpenBatch(ctx context.Context) error { return t.Open(ctx) }
-
-// Next implements Iterator.
-func (t *TopKIter) Next() (relation.Tuple, bool, error) {
-	if !t.opened {
-		return nil, false, errNotOpen("TopKIter")
-	}
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	tup := t.rows[t.pos]
-	t.pos++
-	t.Stats.count(t.Label, 1)
-	return tup, true, nil
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (t *TopKIter) NextBatch() (*relation.Batch, error) {
 	if !t.opened {
 		return nil, errNotOpen("TopKIter")

@@ -369,3 +369,61 @@ func sameFuzzy(a, b *Relation) bool {
 	})
 	return same
 }
+
+// divideStringKeyed is the string-keyed reference implementation of
+// the shared divide machinery, retained as the collision-test
+// oracle: candidate images in Go maps keyed on Tuple.Key strings.
+func divideStringKeyed(r1, r2 *Relation, split division.Split, agg func([]float64) float64, impl Implication) *Relation {
+	aPos := r1.sch.Positions(split.A.Attrs())
+	bPos := r1.sch.Positions(split.B.Attrs())
+	bOrder := r2.sch.Positions(split.B.Attrs())
+
+	type candidate struct {
+		a     relation.Tuple
+		image map[string]float64
+		best  float64
+	}
+	cands := make(map[string]*candidate)
+	var order []string
+	r1.Each(func(t relation.Tuple, g float64) {
+		at := t.Project(aPos)
+		k := at.Key()
+		c, ok := cands[k]
+		if !ok {
+			c = &candidate{a: at, image: make(map[string]float64)}
+			cands[k] = c
+			order = append(order, k)
+		}
+		bk := t.Project(bPos).Key()
+		if g > c.image[bk] {
+			c.image[bk] = g
+		}
+		if g > c.best {
+			c.best = g
+		}
+	})
+
+	type divisorTuple struct {
+		key   string
+		grade float64
+	}
+	var divisor []divisorTuple
+	r2.Each(func(t relation.Tuple, g float64) {
+		divisor = append(divisor, divisorTuple{key: t.Project(bOrder).Key(), grade: g})
+	})
+
+	out := NewRelation(split.A)
+	for _, k := range order {
+		c := cands[k]
+		if len(divisor) == 0 {
+			out.Insert(c.a, c.best)
+			continue
+		}
+		impls := make([]float64, len(divisor))
+		for i, d := range divisor {
+			impls[i] = impl(d.grade, c.image[d.key])
+		}
+		out.Insert(c.a, math.Min(agg(impls), c.best))
+	}
+	return out
+}

@@ -175,39 +175,3 @@ func HAS(r1, r3, r2 *relation.Relation, assocs Association) *relation.Relation {
 	}
 	return out
 }
-
-// hasStringKeyed is the string-keyed reference implementation of
-// HAS, retained as the collision-test oracle: the masked-hash tests
-// compare HAS under a 3-bit hash space against it to prove the
-// TupleIndex verification keeps classification exact.
-func hasStringKeyed(r1, r3, r2 *relation.Relation, assocs Association) *relation.Relation {
-	a := r1.Schema()
-	aPos := r3.Schema().Positions(a.Attrs())
-	bPos := r3.Schema().Positions(r2.Schema().Attrs())
-
-	q := make(map[string]struct{}, r2.Len())
-	for _, t := range r2.Tuples() {
-		q[t.Key()] = struct{}{}
-	}
-	related := make(map[string]map[string]struct{})
-	for _, t := range r3.Tuples() {
-		ak := t.Project(aPos).Key()
-		s, ok := related[ak]
-		if !ok {
-			s = make(map[string]struct{})
-			related[ak] = s
-		}
-		s[t.Project(bPos).Key()] = struct{}{}
-	}
-	out := relation.New(a)
-	for _, e := range r1.Tuples() {
-		s := related[e.Key()]
-		if s == nil {
-			s = map[string]struct{}{}
-		}
-		if Classify(s, q)&assocs != 0 {
-			out.Insert(e)
-		}
-	}
-	return out
-}

@@ -205,3 +205,34 @@ func TestContainmentJoinCollisions(t *testing.T) {
 		}
 	}
 }
+
+// containmentJoinFlatStringKeyed is the string-keyed reference
+// containment join retained as the collision-test oracle: element
+// membership through Go maps keyed on the values' injective key
+// encoding, never the TupleIndex.
+func containmentJoinFlatStringKeyed(left, right *Nested) *relation.Relation {
+	keySet := func(s *ItemSet) map[string]struct{} {
+		m := make(map[string]struct{}, s.Len())
+		for _, v := range s.Values() {
+			m[string(v.AppendKey(nil))] = struct{}{}
+		}
+		return m
+	}
+	out := relation.New(left.scalars.Concat(right.scalars))
+	for _, l := range left.Rows() {
+		ls := keySet(l.Set)
+		for _, r := range right.Rows() {
+			contained := true
+			for k := range keySet(r.Set) {
+				if _, ok := ls[k]; !ok {
+					contained = false
+					break
+				}
+			}
+			if contained {
+				out.Insert(l.Scalars.Concat(r.Scalars))
+			}
+		}
+	}
+	return out
+}

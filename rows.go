@@ -27,7 +27,7 @@ import (
 // when Next asks for it. Rows is not safe for concurrent use; Close
 // is idempotent and safe mid-stream.
 type Rows struct {
-	it      exec.Iterator
+	it      *exec.FromBatch
 	ctx     context.Context
 	cancel  context.CancelFunc
 	cols    []string
