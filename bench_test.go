@@ -283,7 +283,7 @@ func BenchmarkParallelDivide(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					parallel.DivideWith(algo, r1, r2, workers)
+					parallel.Divide(algo, r1, r2, workers)
 				}
 			})
 		}
@@ -305,7 +305,7 @@ func BenchmarkParallelGreatDivide(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				parallel.GreatDivide(g1, g2, workers)
+				parallel.GreatDivide(division.GreatAlgoHash, g1, g2, workers)
 			}
 		})
 	}

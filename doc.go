@@ -43,27 +43,30 @@
 // # Parallel execution
 //
 // The paper derives intra-operator parallelism from its laws (§5):
-// Law 2 under precondition c2 justifies range-partitioning the
-// dividend on the quotient attributes and dividing the partitions
-// independently, and Law 13 justifies hash-partitioning the divisor
-// of a great divide on its group attributes. Both partitionings make
-// the respective law's precondition hold by construction, so the
-// parallel rewrites are always safe.
+// Law 2 under precondition c2 justifies splitting the dividend into
+// partitions with disjoint quotient values and dividing them
+// independently, and Law 13 justifies splitting the divisor of a great
+// divide into partitions with disjoint groups. Hash-partitioning the
+// dividend on its quotient attributes, or the divisor on its group
+// attributes, makes the respective law's precondition hold by
+// construction, so the parallel rewrites are always safe.
 //
 // The repository promotes these strategies into the whole pipeline:
-// internal/parallel implements the partitionings and in-process
-// parallel divisions; internal/plan adds ParallelDivide and
+// internal/parallel holds the one hash partitioner and the
+// per-partition worker fan-out; internal/plan adds ParallelDivide and
 // ParallelGreatDivide nodes; internal/optimizer's Parallelize pass
 // rewrites large divisions into them above a cardinality threshold;
-// and internal/exec compiles them to streaming exchange iterators:
-// one goroutine per partition feeds the incremental division state
-// and emits finished quotient tuples into a bounded channel, so the
-// first result row surfaces as soon as the first partition resolves
-// — never waiting on the slowest worker — and the quotient is never
-// materialized whole. Open(WithWorkers(n)) enables the pass for an
-// embedded database, WithExchangeBuffer tunes the channel's
-// backpressure bound; cmd/divsql and cmd/lawbench expose -workers,
-// and divsql's -explain prints the chosen partitioning per operator.
+// and internal/exec compiles both to one streaming exchange iterator
+// with one code path: it partitions its input while draining it,
+// charged against the query's memory budget, and one goroutine per
+// partition feeds the incremental division state and emits finished
+// quotient tuples into a bounded channel, so the first result row
+// surfaces as soon as the first partition resolves — never waiting on
+// the slowest worker — and the quotient is never materialized whole.
+// Open(WithWorkers(n)) enables the pass for an embedded database,
+// WithExchangeBuffer tunes the channel's backpressure bound;
+// cmd/divsql and cmd/lawbench expose -workers, and divsql's -explain
+// prints the chosen partitioning per operator.
 //
 // # LIMIT and early exit
 //

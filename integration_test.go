@@ -138,7 +138,7 @@ func TestParallelAgreesUnderLoad(t *testing.T) {
 		Groups: 2000, GroupSize: 8, DivisorSize: 10,
 		Domain: 100, HitRate: 0.25, Seed: 5,
 	}.Generate()
-	if !parallel.Divide(r1, r2, 8).Equal(division.Divide(r1, r2)) {
+	if !parallel.Divide(division.AlgoHash, r1, r2, 8).Equal(division.Divide(r1, r2)) {
 		t.Error("parallel divide diverged under load")
 	}
 	g1, g2 := datagen.GreatDividePair{
@@ -146,7 +146,7 @@ func TestParallelAgreesUnderLoad(t *testing.T) {
 		DivisorGroups: 16, DivisorGroupSize: 5,
 		Domain: 100, HitRate: 0.25, Seed: 5,
 	}.Generate()
-	if !parallel.GreatDivide(g1, g2, 8).EquivalentTo(division.GreatDivide(g1, g2)) {
+	if !parallel.GreatDivide(division.GreatAlgoHash, g1, g2, 8).EquivalentTo(division.GreatDivide(g1, g2)) {
 		t.Error("parallel great divide diverged under load")
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // rowBudgeter is the optional row-budget hint of the batch protocol: a
-// bounded consumer (LimitBatch, a fused top-k) arms its child with the
+// bounded consumer (LimitIter, a fused top-k) arms its child with the
 // number of rows it still needs before each NextBatch pull, and a
 // budget-aware child emits a batch no larger than that instead of
 // draining a full slab past the limit. The budget is a cap, not a
@@ -211,11 +211,11 @@ func (f *FromBatch) Schema() schema.Schema {
 	return f.Input.Schema()
 }
 
-// FilterBatch is the predicate filter: each input batch is filtered
+// FilterIter is the predicate filter: each input batch is filtered
 // into a reused output batch, with per-batch (not per-tuple) interface
 // costs. Empty results keep pulling, so consumers never see
 // zero-length batches.
-type FilterBatch struct {
+type FilterIter struct {
 	Label string
 	Input Iterator
 	Pred  pred.Predicate
@@ -227,7 +227,7 @@ type FilterBatch struct {
 }
 
 // Open implements Iterator.
-func (f *FilterBatch) Open(ctx context.Context) error {
+func (f *FilterIter) Open(ctx context.Context) error {
 	f.open = true
 	return f.Input.Open(ctx)
 }
@@ -235,7 +235,7 @@ func (f *FilterBatch) Open(ctx context.Context) error {
 // SetRowBudget implements rowBudgeter: each child pull is armed with
 // the hint (a filter emits at most as many rows as it reads, so the
 // child's bound is ours).
-func (f *FilterBatch) SetRowBudget(n int64) {
+func (f *FilterIter) SetRowBudget(n int64) {
 	if n < 0 {
 		n = 0
 	}
@@ -243,9 +243,9 @@ func (f *FilterBatch) SetRowBudget(n int64) {
 }
 
 // NextBatch implements Iterator.
-func (f *FilterBatch) NextBatch() (*relation.Batch, error) {
+func (f *FilterIter) NextBatch() (*relation.Batch, error) {
 	if !f.open {
-		return nil, errNotOpen("FilterBatch")
+		return nil, errNotOpen("FilterIter")
 	}
 	sch := f.Input.Schema()
 	for {
@@ -270,7 +270,7 @@ func (f *FilterBatch) NextBatch() (*relation.Batch, error) {
 }
 
 // Close implements Iterator.
-func (f *FilterBatch) Close() error {
+func (f *FilterIter) Close() error {
 	f.open = false
 	f.budget = 0
 	relation.PutBatch(f.out)
@@ -279,14 +279,14 @@ func (f *FilterBatch) Close() error {
 }
 
 // Schema implements Iterator.
-func (f *FilterBatch) Schema() schema.Schema { return f.Input.Schema() }
+func (f *FilterIter) Schema() schema.Schema { return f.Input.Schema() }
 
-// ProjectBatch projects attributes and eliminates duplicates with a
+// ProjectIter projects attributes and eliminates duplicates with a
 // streaming first-seen TupleIndex (set semantics, exact under hash
 // collisions); the projection is only materialized for tuples that
 // survive the dedup. A projection onto the child's own attributes in
 // order never reaches it: the compiler drops it.
-type ProjectBatch struct {
+type ProjectIter struct {
 	Label string
 	Input Iterator
 	Attrs []string
@@ -300,7 +300,7 @@ type ProjectBatch struct {
 }
 
 // Open implements Iterator.
-func (p *ProjectBatch) Open(ctx context.Context) error {
+func (p *ProjectIter) Open(ctx context.Context) error {
 	p.out, p.pos = p.Input.Schema().Project(p.Attrs)
 	p.seen = new(relation.TupleIndex)
 	return p.Input.Open(ctx)
@@ -308,7 +308,7 @@ func (p *ProjectBatch) Open(ctx context.Context) error {
 
 // SetRowBudget implements rowBudgeter: each child pull is armed with
 // the hint (dedup only shrinks batches, so the child's bound is ours).
-func (p *ProjectBatch) SetRowBudget(n int64) {
+func (p *ProjectIter) SetRowBudget(n int64) {
 	if n < 0 {
 		n = 0
 	}
@@ -316,9 +316,9 @@ func (p *ProjectBatch) SetRowBudget(n int64) {
 }
 
 // NextBatch implements Iterator.
-func (p *ProjectBatch) NextBatch() (*relation.Batch, error) {
+func (p *ProjectIter) NextBatch() (*relation.Batch, error) {
 	if p.seen == nil {
-		return nil, errNotOpen("ProjectBatch")
+		return nil, errNotOpen("ProjectIter")
 	}
 	for {
 		ts, err := pull(p.Input, p.budget)
@@ -342,7 +342,7 @@ func (p *ProjectBatch) NextBatch() (*relation.Batch, error) {
 }
 
 // Close implements Iterator.
-func (p *ProjectBatch) Close() error {
+func (p *ProjectIter) Close() error {
 	p.seen = nil
 	p.budget = 0
 	relation.PutBatch(p.ob)
@@ -351,32 +351,32 @@ func (p *ProjectBatch) Close() error {
 }
 
 // Schema implements Iterator.
-func (p *ProjectBatch) Schema() schema.Schema {
+func (p *ProjectIter) Schema() schema.Schema {
 	if p.out.Len() == 0 {
 		p.out, p.pos = p.Input.Schema().Project(p.Attrs)
 	}
 	return p.out
 }
 
-// RenameBatch is the pass-through node of a rename chain: batches
+// RenameIter is the pass-through node of a rename chain: batches
 // flow untouched, and Out — the chain's final schema, fixed at compile
 // time — is all it adds.
-type RenameBatch struct {
+type RenameIter struct {
 	Input Iterator
 	Out   schema.Schema
 }
 
 // Open implements Iterator.
-func (r *RenameBatch) Open(ctx context.Context) error { return r.Input.Open(ctx) }
+func (r *RenameIter) Open(ctx context.Context) error { return r.Input.Open(ctx) }
 
 // SetRowBudget implements rowBudgeter; the hint flows through.
-func (r *RenameBatch) SetRowBudget(n int64) { setRowBudget(r.Input, n) }
+func (r *RenameIter) SetRowBudget(n int64) { setRowBudget(r.Input, n) }
 
 // NextBatch implements Iterator.
-func (r *RenameBatch) NextBatch() (*relation.Batch, error) { return r.Input.NextBatch() }
+func (r *RenameIter) NextBatch() (*relation.Batch, error) { return r.Input.NextBatch() }
 
 // Close implements Iterator.
-func (r *RenameBatch) Close() error { return r.Input.Close() }
+func (r *RenameIter) Close() error { return r.Input.Close() }
 
 // Schema implements Iterator.
-func (r *RenameBatch) Schema() schema.Schema { return r.Out }
+func (r *RenameIter) Schema() schema.Schema { return r.Out }

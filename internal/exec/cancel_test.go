@@ -32,8 +32,9 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// bigDividePlan builds a division plan whose dividend spans many
-// DefaultCheckEvery intervals, so blocking drains must poll repeatedly.
+// bigDividePlan builds a division plan whose dividend spans many poll
+// intervals of DefaultCheckEvery tuples, so blocking drains must poll
+// repeatedly.
 func bigDividePlan(parallel bool) plan.Node {
 	n := 8 * DefaultCheckEvery
 	rows := make([][]int64, 0, n)

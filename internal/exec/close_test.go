@@ -37,10 +37,10 @@ func TestIteratorCloseSafety(t *testing.T) {
 	}{
 		{"ScanIter", func() Iterator { return scan(ab) }},
 		{"FilterIter", func() Iterator {
-			return &FilterBatch{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
+			return &FilterIter{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
 		}},
 		{"ProjectIter", func() Iterator {
-			return &ProjectBatch{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
+			return &ProjectIter{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
 		}},
 		{"UnionIter", func() Iterator {
 			return &UnionIter{Label: "u", Left: scan(ab), Right: scan(ab2)}
@@ -66,29 +66,29 @@ func TestIteratorCloseSafety(t *testing.T) {
 		{"MergeGroupDivideIter", func() Iterator {
 			return &MergeGroupDivideIter{Label: "md", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
-		{"GreatDivideIter", func() Iterator {
-			return &GreatDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
+		{"HashDivideIterGreat", func() Iterator {
+			return &HashDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc), Great: true}
 		}},
 		{"ParallelDivideIter", func() Iterator {
 			return &ParallelDivideIter{Label: "pd", Dividend: scan(ab), Divisor: scan(bOnly), Workers: 2}
 		}},
-		{"ParallelGreatDivideIter", func() Iterator {
-			return &ParallelGreatDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
+		{"ParallelDivideIterGreat", func() Iterator {
+			return &ParallelDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Great: true, Workers: 2}
 		}},
 		{"GroupIter", func() Iterator {
 			return &GroupIter{Label: "g", Input: scan(ab), By: []string{"a"}}
 		}},
 		{"LimitIter", func() Iterator {
-			return &LimitBatch{Label: "l", Input: scan(ab), N: 2}
+			return &LimitIter{Label: "l", Input: scan(ab), N: 2}
 		}},
 		{"LimitIterZero", func() Iterator {
-			return &LimitBatch{Label: "l0", Input: scan(ab), N: 0}
+			return &LimitIter{Label: "l0", Input: scan(ab), N: 0}
 		}},
 		{"SortIter", func() Iterator {
 			return &SortIter{Label: "so", Input: scan(ab)}
 		}},
 		{"RenameIter", func() Iterator {
-			return &RenameBatch{Input: scan(ab), Out: schema.New("z", "b")}
+			return &RenameIter{Input: scan(ab), Out: schema.New("z", "b")}
 		}},
 		{"FromBatch", func() Iterator {
 			return &FromBatch{Input: scan(ab)}

@@ -11,9 +11,9 @@ import (
 )
 
 // CompileOptions tunes physical operator construction. It unifies the
-// engine's sizing knobs — emission batch size, context-poll interval,
-// exchange buffering — which are independently tunable and all
-// default to their package constants when zero.
+// engine's sizing knobs — emission batch size, exchange buffering,
+// memory budget — which are independently tunable and all default
+// when zero.
 type CompileOptions struct {
 	// ExchangeBuffer is the bounded-channel capacity, in batches, of
 	// streaming parallel exchange operators; 0 means
@@ -25,10 +25,6 @@ type CompileOptions struct {
 	// relation.DefaultBatchCap (== parallel.EmitBatchSize). It governs
 	// amortization: how many tuples share one interface call.
 	BatchSize int
-	// CheckEvery is the cooperative ctx-poll interval of blocking
-	// drains and parallel worker feeds, in tuples; 0 means
-	// DefaultCheckEvery. It governs cancellation latency.
-	CheckEvery int
 	// MemoryLimit bounds the bytes of input state the plan's blocking
 	// operators may hold live, in bytes. 0 defers to the
 	// DIVLAWS_FORCE_SPILL environment override (unlimited when that is
@@ -75,7 +71,7 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 		root.tracker = opts.Spill
 	}
 	root.Input = compile(n, stats, "root", opts)
-	if r, ok := root.Input.(*RenameBatch); ok {
+	if r, ok := root.Input.(*RenameIter); ok {
 		// A rename chain at the root relabels the adapter instead.
 		root.Input, root.out = r.Input, r.Out
 	}
@@ -96,7 +92,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Select:
-		return &FilterBatch{
+		return &FilterIter{
 			Label: label + "/filter",
 			Input: compile(t.Input, stats, label+".0", opts),
 			Pred:  t.Pred,
@@ -109,14 +105,14 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			// own attribute order would dedup nothing.
 			return child
 		}
-		return &ProjectBatch{
+		return &ProjectIter{
 			Label: label + "/project",
 			Input: child,
 			Attrs: t.Attrs,
 			Stats: stats,
 		}
 	case *plan.Limit:
-		return &LimitBatch{
+		return &LimitIter{
 			Label:         label + "/limit",
 			Input:         compile(t.Input, stats, label+".0", opts),
 			N:             t.N,
@@ -131,11 +127,11 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 		case *ScanIter:
 			child.out = t.Schema()
 			return child
-		case *RenameBatch:
+		case *RenameIter:
 			child.Out = t.Schema()
 			return child
 		default:
-			return &RenameBatch{Input: child, Out: t.Schema()}
+			return &RenameIter{Input: child, Out: t.Schema()}
 		}
 	case *plan.Sort:
 		pos, desc := resolveSortKeys(t.Input.Schema(), t.Keys)
@@ -145,7 +141,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			ByPos:         pos,
 			Desc:          desc,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
@@ -157,39 +152,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 		// exchange — no separate heap above it. K <= 0 keeps the
 		// generic TopKIter, which never opens the subtree.
 		if t.K > 0 {
-			switch c := t.Input.(type) {
-			case *plan.ParallelDivide:
-				return &ParallelDivideIter{
-					Label:         label + "/topk-paralleldivide",
-					Dividend:      compile(c.Dividend, stats, label+".0.0", opts),
-					Divisor:       compile(c.Divisor, stats, label+".0.1", opts),
-					Algo:          c.Algo,
-					Workers:       c.Workers,
-					Buffer:        opts.ExchangeBuffer,
-					TopKN:         t.K,
-					TopKPos:       pos,
-					TopKDesc:      desc,
-					Stats:         stats,
-					Every:         opts.CheckEvery,
-					Spill:         opts.Spill,
-					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-				}
-			case *plan.ParallelGreatDivide:
-				return &ParallelGreatDivideIter{
-					Label:         label + "/topk-parallelgreatdivide",
-					Dividend:      compile(c.Dividend, stats, label+".0.0", opts),
-					Divisor:       compile(c.Divisor, stats, label+".0.1", opts),
-					Algo:          c.Algo,
-					Workers:       c.Workers,
-					Buffer:        opts.ExchangeBuffer,
-					TopKN:         t.K,
-					TopKPos:       pos,
-					TopKDesc:      desc,
-					Stats:         stats,
-					Every:         opts.CheckEvery,
-					Spill:         opts.Spill,
-					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-				}
+			if ex := compileExchange(t.Input, stats, label+"/topk-", label+".0", opts); ex != nil {
+				ex.TopKN, ex.TopKPos, ex.TopKDesc = t.K, pos, desc
+				return ex
 			}
 		}
 		return &TopKIter{
@@ -199,7 +164,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Desc:          desc,
 			K:             t.K,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Set:
@@ -210,9 +174,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 		case plan.UnionOp:
 			return &UnionIter{Label: label + "/union", Left: l, Right: r, Stats: stats, windowBatcher: wb}
 		case plan.IntersectOp:
-			return &HashSetOpIter{Label: label + "/intersect", Left: l, Right: r, Keep: true, Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
+			return &HashSetOpIter{Label: label + "/intersect", Left: l, Right: r, Keep: true, Stats: stats, windowBatcher: wb}
 		default:
-			return &HashSetOpIter{Label: label + "/diff", Left: l, Right: r, Keep: false, Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
+			return &HashSetOpIter{Label: label + "/diff", Left: l, Right: r, Keep: false, Stats: stats, windowBatcher: wb}
 		}
 	case *plan.Product:
 		return &ProductIter{
@@ -220,7 +184,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Left:          compile(t.Left, stats, label+".0", opts),
 			Right:         compile(t.Right, stats, label+".1", opts),
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Join:
@@ -229,7 +192,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Left:          compile(t.Left, stats, label+".0", opts),
 			Right:         compile(t.Right, stats, label+".1", opts),
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
@@ -240,7 +202,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Right:         compile(t.Right, stats, label+".1", opts),
 			Pred:          t.Pred,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.SemiJoin:
@@ -250,7 +211,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Right:         compile(t.Right, stats, label+".1", opts),
 			Keep:          true,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.AntiSemiJoin:
@@ -260,7 +220,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Right:         compile(t.Right, stats, label+".1", opts),
 			Keep:          false,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Divide:
@@ -276,7 +235,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 					Input:         dividend,
 					ByPos:         t.Dividend.Schema().Positions(split.A.Attrs()),
 					Stats:         stats,
-					Every:         opts.CheckEvery,
 					Spill:         opts.Spill,
 					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 				}
@@ -285,7 +243,6 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 					Dividend:      sorted,
 					Divisor:       divisor,
 					Stats:         stats,
-					Every:         opts.CheckEvery,
 					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 				}
 			}
@@ -295,46 +252,21 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			Dividend:      dividend,
 			Divisor:       divisor,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.GreatDivide:
-		return &GreatDivideIter{
+		return &HashDivideIter{
 			Label:         label + "/greatdivide",
 			Dividend:      compile(t.Dividend, stats, label+".0", opts),
 			Divisor:       compile(t.Divisor, stats, label+".1", opts),
+			Great:         true,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
-	case *plan.ParallelDivide:
-		return &ParallelDivideIter{
-			Label:         label + "/paralleldivide",
-			Dividend:      compile(t.Dividend, stats, label+".0", opts),
-			Divisor:       compile(t.Divisor, stats, label+".1", opts),
-			Algo:          t.Algo,
-			Workers:       t.Workers,
-			Buffer:        opts.ExchangeBuffer,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
-	case *plan.ParallelGreatDivide:
-		return &ParallelGreatDivideIter{
-			Label:         label + "/parallelgreatdivide",
-			Dividend:      compile(t.Dividend, stats, label+".0", opts),
-			Divisor:       compile(t.Divisor, stats, label+".1", opts),
-			Algo:          t.Algo,
-			Workers:       t.Workers,
-			Buffer:        opts.ExchangeBuffer,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+	case *plan.ParallelDivide, *plan.ParallelGreatDivide:
+		return compileExchange(n, stats, label+"/", label, opts)
 	case *plan.Group:
 		return &GroupIter{
 			Label:         label + "/group",
@@ -342,12 +274,37 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Itera
 			By:            t.By,
 			Aggs:          t.Aggs,
 			Stats:         stats,
-			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
 	}
+}
+
+// compileExchange lowers a ParallelDivide or ParallelGreatDivide node
+// to the exchange operator, named under prefix in Stats and with its
+// children labelled under childLabel; any other node yields nil.
+func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts CompileOptions) *ParallelDivideIter {
+	ex := &ParallelDivideIter{
+		Buffer:        opts.ExchangeBuffer,
+		Stats:         stats,
+		Spill:         opts.Spill,
+		windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+	}
+	var dividend, divisor plan.Node
+	switch t := n.(type) {
+	case *plan.ParallelDivide:
+		dividend, divisor, ex.Algo, ex.Workers = t.Dividend, t.Divisor, t.Algo, t.Workers
+		ex.Label = prefix + "paralleldivide"
+	case *plan.ParallelGreatDivide:
+		dividend, divisor, ex.Algo, ex.Workers = t.Dividend, t.Divisor, t.Algo, t.Workers
+		ex.Label, ex.Great = prefix+"parallelgreatdivide", true
+	default:
+		return nil
+	}
+	ex.Dividend = compile(dividend, stats, childLabel+".0", opts)
+	ex.Divisor = compile(divisor, stats, childLabel+".1", opts)
+	return ex
 }
 
 // SimulatedDividePlan builds the basic-algebra simulation of

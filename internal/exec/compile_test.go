@@ -62,7 +62,7 @@ FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p#`, sql.ExplainOptions{Opti
 	root := Compile(ex.Plan, nil)
 	walkIterators(root.Input, func(it Iterator) {
 		switch it.(type) {
-		case *RenameBatch, *ProjectBatch:
+		case *RenameIter, *ProjectIter:
 			t.Errorf("compiled Q1 keeps a %T", it)
 		}
 	})

@@ -12,8 +12,8 @@ func TestCloseIdempotent(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
 	iters := []Iterator{
 		&ScanIter{Rel: r},
-		&FilterBatch{Input: &ScanIter{Rel: r}, Pred: truePred{}},
-		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&FilterIter{Input: &ScanIter{Rel: r}, Pred: truePred{}},
+		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&SortIter{Input: &ScanIter{Rel: r}},
 	}
 	for _, it := range iters {
@@ -67,7 +67,7 @@ func TestDivideItersRejectBadSchemasAtOpen(t *testing.T) {
 	if err := m.Open(context.Background()); err == nil {
 		t.Error("merge divide should reject schema violation")
 	}
-	g := &GreatDivideIter{Dividend: bad, Divisor: bad}
+	g := &HashDivideIter{Dividend: bad, Divisor: bad, Great: true}
 	if err := g.Open(context.Background()); err == nil {
 		t.Error("great divide should reject schema violation")
 	}
@@ -79,9 +79,10 @@ func TestDivideItersNotOpen(t *testing.T) {
 	for _, it := range []Iterator{
 		&HashDivideIter{Dividend: r1, Divisor: r2},
 		&MergeGroupDivideIter{Dividend: r1, Divisor: r2},
-		&GreatDivideIter{
+		&HashDivideIter{
 			Dividend: &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})},
 			Divisor:  &ScanIter{Rel: relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}})},
+			Great:    true,
 		},
 		&SemiJoinIter{Left: r1, Right: r2},
 		&GroupIter{Input: r1, By: []string{"a"}},

@@ -20,9 +20,6 @@ type ThetaJoinIter struct {
 	Left, Right Iterator
 	Pred        pred.Predicate
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the inner build
-	// drain, in tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 	inner *ProductIter
 	out   schema.Schema
@@ -30,7 +27,7 @@ type ThetaJoinIter struct {
 
 // Open implements Iterator.
 func (j *ThetaJoinIter) Open(ctx context.Context) error {
-	j.inner = &ProductIter{Label: j.Label + ".product", Left: j.Left, Right: j.Right, Stats: nil, Every: j.Every,
+	j.inner = &ProductIter{Label: j.Label + ".product", Left: j.Left, Right: j.Right, Stats: nil,
 		windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
 	j.out = j.Left.Schema().Concat(j.Right.Schema())
 	return j.inner.Open(ctx)
@@ -86,23 +83,25 @@ func (j *ThetaJoinIter) Schema() schema.Schema {
 	return j.out
 }
 
-// HashDivideIter is the physical hash-division operator (Graefe):
-// the divisor is streamed into a bit-numbering table on Open, the
-// dividend consumed in one pass straight off its child iterator —
-// neither input is materialized into an intermediate relation — and
-// qualifying quotient groups emitted afterwards. It is blocking on
-// the dividend but needs no sorted inputs. The quotient is emitted in
-// zero-copy windows.
+// HashDivideIter is the physical hash-division operator (Graefe), or
+// with Great the counting set-containment division r1 ÷* r2: the
+// divisor is streamed into the division state on Open, the dividend
+// consumed in one pass straight off its child iterator — neither
+// input is materialized into an intermediate relation, and the state
+// absorbs duplicates itself — and qualifying quotient tuples emitted
+// afterwards in zero-copy windows. It is blocking on the dividend but
+// needs no sorted inputs.
 type HashDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
-	Stats             *Stats
-	// Every is the cooperative ctx-poll interval of the build drains,
-	// in tuples; 0 means DefaultCheckEvery.
-	Every int
+	// Great selects the great divide r1 ÷* r2 over r1 ÷ r2.
+	Great bool
+	Stats *Stats
 	// Spill, when non-nil, bounds the division state: on budget
-	// pressure the dividend grace-hash partitions to temp files and
-	// each partition is divided against the (retained) divisor.
+	// pressure the dividend grace-hash partitions on A to temp files
+	// and each partition is divided against the (retained) divisor —
+	// lossless for both divisions because a candidate's verdicts
+	// depend only on its own tuples plus the whole divisor.
 	Spill *spill.Tracker
 	windowBatcher
 	out     schema.Schema
@@ -116,7 +115,7 @@ type HashDivideIter struct {
 // Open implements Iterator.
 func (h *HashDivideIter) Open(ctx context.Context) error {
 	dividendSch, divisorSch := h.Dividend.Schema(), h.Divisor.Schema()
-	st, err := division.NewDivideState(dividendSch, divisorSch)
+	st, err := newDivState(h.Great, dividendSch, divisorSch)
 	if err != nil {
 		return err
 	}
@@ -127,17 +126,17 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 		return err
 	}
 	if h.Spill != nil {
-		split, err := division.SmallSplit(dividendSch, divisorSch)
+		split, _, err := divideSplit(h.Great, dividendSch, divisorSch)
 		if err != nil {
 			return err
 		}
-		g := newGraceDivide(h.Spill, dividendSch.Positions(split.A.Attrs()), h.Every,
-			func() (divSpillState, error) { return division.NewDivideState(dividendSch, divisorSch) })
+		g := newGraceDivide(h.Spill, dividendSch.Positions(split.A.Attrs()),
+			func() (divSpillState, error) { return newDivState(h.Great, dividendSch, divisorSch) })
 		h.grace, h.gctx = g, ctx
-		if err := drainEveryErr(ctx, h.Divisor, h.Every, g.addDivisor); err != nil {
+		if err := drainErr(ctx, h.Divisor, g.addDivisor); err != nil {
 			return err
 		}
-		if err := drainEveryErr(ctx, h.Dividend, h.Every, func(t relation.Tuple) error {
+		if err := drainErr(ctx, h.Dividend, func(t relation.Tuple) error {
 			return g.addDividend(ctx, t)
 		}); err != nil {
 			return err
@@ -148,10 +147,10 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 		h.opened = true
 		return nil
 	}
-	if err := drainEvery(ctx, h.Divisor, h.Every, st.AddDivisor); err != nil {
+	if err := drain(ctx, h.Divisor, st.AddDivisor); err != nil {
 		return err
 	}
-	if err := drainEvery(ctx, h.Dividend, h.Every, st.AddDividend); err != nil {
+	if err := drain(ctx, h.Dividend, st.AddDividend); err != nil {
 		return err
 	}
 	h.results = st.Result().Tuples()
@@ -195,13 +194,41 @@ func (h *HashDivideIter) Close() error {
 // schemas so parents may call it before Open.
 func (h *HashDivideIter) Schema() schema.Schema {
 	if h.out.Len() == 0 {
-		split, err := division.SmallSplit(h.Dividend.Schema(), h.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		h.out = split.A
+		h.out = quotientSchema(h.Great, h.Dividend, h.Divisor)
 	}
 	return h.out
+}
+
+// newDivState returns the incremental state of r1 ÷* r2 when great,
+// of r1 ÷ r2 otherwise.
+func newDivState(great bool, dividend, divisor schema.Schema) (divSpillState, error) {
+	if great {
+		return division.NewGreatDivideState(dividend, divisor)
+	}
+	return division.NewDivideState(dividend, divisor)
+}
+
+// divideSplit splits the operand schemas of r1 ÷* r2 when great, of
+// r1 ÷ r2 otherwise, and returns the quotient schema with the split:
+// A ∪ C for the great divide, A for the small one.
+func divideSplit(great bool, dividend, divisor schema.Schema) (division.Split, schema.Schema, error) {
+	if great {
+		s, err := division.GreatSplit(dividend, divisor)
+		return s, s.A.Concat(s.C), err
+	}
+	s, err := division.SmallSplit(dividend, divisor)
+	return s, s.A, err
+}
+
+// quotientSchema is the output schema of a division over the two
+// children; it panics on schema violations, which Open reports as
+// errors.
+func quotientSchema(great bool, dividend, divisor Iterator) schema.Schema {
+	_, out, err := divideSplit(great, dividend.Schema(), divisor.Schema())
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // MergeGroupDivideIter is the group-preserving pipelined division of
@@ -216,9 +243,6 @@ type MergeGroupDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
 	Stats             *Stats
-	// Every is the cooperative ctx-poll interval of the divisor drain,
-	// in tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 
 	out      schema.Schema
@@ -251,7 +275,7 @@ func (m *MergeGroupDivideIter) Open(ctx context.Context) error {
 		return err
 	}
 	m.divisor.Reset()
-	if err := drainEvery(ctx, m.Divisor, m.Every, func(t relation.Tuple) {
+	if err := drain(ctx, m.Divisor, func(t relation.Tuple) {
 		m.divisor.IDProj(t, bOrder)
 	}); err != nil {
 		return err
@@ -368,128 +392,7 @@ func (m *MergeGroupDivideIter) Close() error {
 // schemas so parents may call it before Open.
 func (m *MergeGroupDivideIter) Schema() schema.Schema {
 	if m.out.Len() == 0 {
-		split, err := division.SmallSplit(m.Dividend.Schema(), m.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		m.out = split.A
+		m.out = quotientSchema(false, m.Dividend, m.Divisor)
 	}
 	return m.out
-}
-
-// GreatDivideIter is the physical set-containment-division operator:
-// blocking on both inputs, hash-based counting. Both inputs are
-// consumed straight off the child iterators into the counting state,
-// which absorbs duplicates itself — no intermediate relations. Like
-// HashDivideIter it emits the quotient in zero-copy windows.
-type GreatDivideIter struct {
-	Label             string
-	Dividend, Divisor Iterator
-	Stats             *Stats
-	// Every is the cooperative ctx-poll interval of the build drains,
-	// in tuples; 0 means DefaultCheckEvery.
-	Every int
-	// Spill, when non-nil, bounds the counting state: on budget
-	// pressure the dividend grace-hash partitions on A to temp files —
-	// lossless because a candidate's (a, c) verdicts depend only on its
-	// own tuples plus the whole (retained) divisor.
-	Spill *spill.Tracker
-	windowBatcher
-	out     schema.Schema
-	results []relation.Tuple
-	pos     int
-	opened  bool
-	grace   *graceDivide
-	gctx    context.Context
-}
-
-// Open implements Iterator.
-func (g *GreatDivideIter) Open(ctx context.Context) error {
-	dividendSch, divisorSch := g.Dividend.Schema(), g.Divisor.Schema()
-	st, err := division.NewGreatDivideState(dividendSch, divisorSch)
-	if err != nil {
-		return err
-	}
-	if err := g.Dividend.Open(ctx); err != nil {
-		return err
-	}
-	if err := g.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	if g.Spill != nil {
-		split, err := division.GreatSplit(dividendSch, divisorSch)
-		if err != nil {
-			return err
-		}
-		gd := newGraceDivide(g.Spill, dividendSch.Positions(split.A.Attrs()), g.Every,
-			func() (divSpillState, error) { return division.NewGreatDivideState(dividendSch, divisorSch) })
-		g.grace, g.gctx = gd, ctx
-		if err := drainEveryErr(ctx, g.Divisor, g.Every, gd.addDivisor); err != nil {
-			return err
-		}
-		if err := drainEveryErr(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
-			return gd.addDividend(ctx, t)
-		}); err != nil {
-			return err
-		}
-		if err := gd.finish(ctx); err != nil {
-			return err
-		}
-		g.opened = true
-		return nil
-	}
-	if err := drainEvery(ctx, g.Divisor, g.Every, st.AddDivisor); err != nil {
-		return err
-	}
-	if err := drainEvery(ctx, g.Dividend, g.Every, st.AddDividend); err != nil {
-		return err
-	}
-	g.results = st.Result().Tuples()
-	g.pos = 0
-	g.opened = true
-	return nil
-}
-
-// NextBatch implements Iterator.
-func (g *GreatDivideIter) NextBatch() (*relation.Batch, error) {
-	if !g.opened {
-		return nil, errNotOpen("GreatDivideIter")
-	}
-	if g.grace != nil {
-		return graceBatch(g.grace, g.gctx, &g.windowBatcher, g.Stats, g.Label)
-	}
-	b := g.window(g.results, &g.pos)
-	if b != nil {
-		g.Stats.count(g.Label, int64(b.Len()))
-	}
-	return b, nil
-}
-
-// Close implements Iterator.
-func (g *GreatDivideIter) Close() error {
-	g.results, g.opened = nil, false
-	if g.grace != nil {
-		g.grace.close()
-		g.grace = nil
-	}
-	g.release()
-	err1 := g.Dividend.Close()
-	err2 := g.Divisor.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements Iterator. It is derived from the children's
-// schemas so parents may call it before Open.
-func (g *GreatDivideIter) Schema() schema.Schema {
-	if g.out.Len() == 0 {
-		split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		g.out = split.A.Concat(split.C)
-	}
-	return g.out
 }

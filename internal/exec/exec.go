@@ -15,11 +15,10 @@
 //
 // Open takes a context.Context which governs the whole life of the
 // pipeline: blocking operators (hash builds, sorts, divisions,
-// parallel exchanges) poll it every CheckEvery tuples (default
-// DefaultCheckEvery, tunable via CompileOptions) while they drain
-// their children, and the parallel division workers observe it
-// mid-partition, so a cancelled context tears the pipeline down
-// promptly instead of after the current blocking phase. The polling
+// parallel exchanges) poll it every DefaultCheckEvery tuples while
+// they drain their children, and the parallel division workers
+// observe it mid-partition, so a cancelled context tears the pipeline
+// down promptly instead of after the current blocking phase. The polling
 // is deliberately batched rather than per-tuple: a ctx.Err() call per
 // tuple costs a mutex acquisition in the hot loop, while the batched
 // check is amortized to noise (see BenchmarkCancellationOverhead for
@@ -89,22 +88,15 @@ type Iterator interface {
 	Schema() schema.Schema
 }
 
-// DefaultCheckEvery is the default interval, in tuples, of the
-// cooperative context checks inside blocking drain loops; tunable per
-// query via CompileOptions.CheckEvery.
+// DefaultCheckEvery is the interval, in tuples, of the cooperative
+// context checks inside blocking drain loops.
 const DefaultCheckEvery = 1024
 
-// drain consumes child into sink with the default poll interval. It
-// is the shared inner loop of every blocking operator.
+// drain consumes child into sink a whole batch at a time, polling ctx
+// at least every DefaultCheckEvery tuples. It is the shared inner loop
+// of every blocking operator.
 func drain(ctx context.Context, child Iterator, sink func(relation.Tuple)) error {
-	return drainEvery(ctx, child, 0, sink)
-}
-
-// drainEvery consumes child into sink a whole batch at a time,
-// polling ctx at least every `every` tuples (DefaultCheckEvery when
-// every <= 0).
-func drainEvery(ctx context.Context, child Iterator, every int, sink func(relation.Tuple)) error {
-	return drainBatches(ctx, child, every, func(ts []relation.Tuple) error {
+	return drainBatches(ctx, child, func(ts []relation.Tuple) error {
 		for _, t := range ts {
 			sink(t)
 		}
@@ -112,10 +104,10 @@ func drainEvery(ctx context.Context, child Iterator, every int, sink func(relati
 	})
 }
 
-// drainEveryErr is drainEvery with an erroring sink: the drain stops
-// at the sink's first error and returns it.
-func drainEveryErr(ctx context.Context, child Iterator, every int, sink func(relation.Tuple) error) error {
-	return drainBatches(ctx, child, every, func(ts []relation.Tuple) error {
+// drainErr is drain with an erroring sink: the drain stops at the
+// sink's first error and returns it.
+func drainErr(ctx context.Context, child Iterator, sink func(relation.Tuple) error) error {
+	return drainBatches(ctx, child, func(ts []relation.Tuple) error {
 		for _, t := range ts {
 			if err := sink(t); err != nil {
 				return err
@@ -125,11 +117,10 @@ func drainEveryErr(ctx context.Context, child Iterator, every int, sink func(rel
 	})
 }
 
-// drainBatches is the loop under drainEvery: whole batches go to
-// sink, with the cooperative context poll at batch boundaries (still
-// at least every `every` tuples).
-func drainBatches(ctx context.Context, child Iterator, every int, sink func([]relation.Tuple) error) error {
-	every = effEvery(every)
+// drainBatches is the loop under drain: whole batches go to sink,
+// with the cooperative context poll at batch boundaries (still at
+// least every DefaultCheckEvery tuples).
+func drainBatches(ctx context.Context, child Iterator, sink func([]relation.Tuple) error) error {
 	n := 0
 	for {
 		b, err := child.NextBatch()
@@ -142,7 +133,7 @@ func drainBatches(ctx context.Context, child Iterator, every int, sink func([]re
 		if err := sink(b.Tuples()); err != nil {
 			return err
 		}
-		if n += b.Len(); n >= every {
+		if n += b.Len(); n >= DefaultCheckEvery {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				return err
@@ -237,7 +228,7 @@ func Drain(ctx context.Context, it Iterator) (int64, error) {
 	}
 	defer it.Close()
 	var n int64
-	err := drainBatches(ctx, it, 0, func(ts []relation.Tuple) error {
+	err := drainBatches(ctx, it, func(ts []relation.Tuple) error {
 		n += int64(len(ts))
 		return nil
 	})

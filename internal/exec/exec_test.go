@@ -174,7 +174,7 @@ func TestIteratorProtocolErrors(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
 	iters := []Iterator{
 		&ScanIter{Rel: r},
-		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&UnionIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 		&HashSetOpIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 	}

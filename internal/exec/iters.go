@@ -157,9 +157,6 @@ type HashSetOpIter struct {
 	Left, Right Iterator
 	Keep        bool // true: intersect (keep hits); false: diff (keep misses)
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 	rightKeys *relation.TupleIndex
 	ids       []int
@@ -178,7 +175,7 @@ func (h *HashSetOpIter) Open(ctx context.Context) error {
 	}
 	pos := h.Right.Schema().Positions(h.Left.Schema().Attrs())
 	h.rightKeys = new(relation.TupleIndex)
-	if err := drainEvery(ctx, h.Right, h.Every, func(t relation.Tuple) {
+	if err := drain(ctx, h.Right, func(t relation.Tuple) {
 		h.rightKeys.IDProj(t, pos)
 	}); err != nil {
 		return err
@@ -236,9 +233,6 @@ type ProductIter struct {
 	Label       string
 	Left, Right Iterator
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 	right []relation.Tuple
 	cur   relation.Tuple
@@ -258,7 +252,7 @@ func (p *ProductIter) Open(ctx context.Context) error {
 		return err
 	}
 	p.right = nil
-	if err := drainEvery(ctx, p.Right, p.Every, func(t relation.Tuple) {
+	if err := drain(ctx, p.Right, func(t relation.Tuple) {
 		p.right = append(p.right, t)
 	}); err != nil {
 		return err
@@ -351,9 +345,6 @@ type HashJoinIter struct {
 	Label       string
 	Left, Right Iterator
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	// Spill, when non-nil, bounds the build side: on budget pressure
 	// both sides grace-hash partition to temp files and the partition
 	// pairs are joined independently. The degenerate product case is
@@ -386,7 +377,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	if common.Len() == 0 {
 		// Degenerate to a product, as the logical definition does.
 		j.isProduct = true
-		j.prod = &ProductIter{Label: j.Label, Left: j.Left, Right: j.Right, Stats: j.Stats, Every: j.Every,
+		j.prod = &ProductIter{Label: j.Label, Left: j.Left, Right: j.Right, Stats: j.Stats,
 			windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
 		j.out = j.Left.Schema().Concat(j.Right.Schema())
 		return j.prod.Open(ctx)
@@ -407,11 +398,11 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	if j.Spill != nil {
 		// Budgeted runs account the emit slab's live chunk too.
 		j.slab.Charge, j.slab.Release = j.Spill.Charge, j.Spill.Release
-		g := &graceJoin{tr: j.Spill, leftPos: j.leftPos, nk: len(rightPos), every: effEvery(j.Every)}
+		g := &graceJoin{tr: j.Spill, leftPos: j.leftPos, nk: len(rightPos)}
 		g.slab.Charge, g.slab.Release = j.Spill.Charge, j.Spill.Release
 		j.grace = g
 		j.gctx = ctx
-		if err := drainEveryErr(ctx, j.Right, j.Every, func(t relation.Tuple) error {
+		if err := drainErr(ctx, j.Right, func(t relation.Tuple) error {
 			return g.addBuild(t, rightPos, j.extraPos)
 		}); err != nil {
 			return err
@@ -420,7 +411,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 			// The build side spilled: partition the probe side the same
 			// way and join the pairs lazily on NextBatch.
 			j.graceStream = true
-			if err := drainEveryErr(ctx, j.Left, j.Every, g.addProbe); err != nil {
+			if err := drainErr(ctx, j.Left, g.addProbe); err != nil {
 				return err
 			}
 			j.cur, j.matches, j.mIdx = nil, nil, 0
@@ -436,7 +427,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	}
 	j.keyIx = new(relation.TupleIndex)
 	j.rows = nil
-	if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) {
+	if err := drain(ctx, j.Right, func(t relation.Tuple) {
 		id, created := j.keyIx.IDProj(t, rightPos)
 		if created {
 			j.rows = append(j.rows, nil)
@@ -583,9 +574,6 @@ type SemiJoinIter struct {
 	Left, Right Iterator
 	Keep        bool
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 	keys       *relation.TupleIndex
 	leftPos    []int
@@ -616,7 +604,7 @@ func (s *SemiJoinIter) Open(ctx context.Context) error {
 	s.degenerate = false
 	s.leftPos = s.Left.Schema().Positions(common.Attrs())
 	rightPos := s.Right.Schema().Positions(common.Attrs())
-	return drainEvery(ctx, s.Right, s.Every, func(t relation.Tuple) {
+	return drain(ctx, s.Right, func(t relation.Tuple) {
 		s.keys.IDProj(t, rightPos)
 	})
 }
@@ -680,9 +668,6 @@ type GroupIter struct {
 	By    []string
 	Aggs  []algebra.AggSpec
 	Stats *Stats
-	// Every is the cooperative ctx-poll interval of the input drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 	rows  []relation.Tuple
 	pos   int
@@ -695,7 +680,7 @@ func (g *GroupIter) Open(ctx context.Context) error {
 		return err
 	}
 	in := relation.New(g.Input.Schema())
-	if err := drainEvery(ctx, g.Input, g.Every, func(t relation.Tuple) {
+	if err := drain(ctx, g.Input, func(t relation.Tuple) {
 		in.InsertOwned(t)
 	}); err != nil {
 		return err
@@ -755,9 +740,6 @@ type SortIter struct {
 	// ascending. When set, len(Desc) must equal len(ByPos).
 	Desc  []bool
 	Stats *Stats
-	// Every is the cooperative ctx-poll interval of the input drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	// Spill, when non-nil, bounds the sort buffer: on budget pressure
 	// sorted runs spill to temp files and are merged on emit.
 	Spill *spill.Tracker
@@ -782,7 +764,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 	s.open = true
 	cmp := relation.KeyedCompare(s.ByPos, s.Desc)
 	if s.Spill == nil {
-		if err := drainEvery(ctx, s.Input, s.Every, func(t relation.Tuple) {
+		if err := drain(ctx, s.Input, func(t relation.Tuple) {
 			s.rows = append(s.rows, t)
 		}); err != nil {
 			return err
@@ -791,7 +773,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 		s.pos = 0
 		return nil
 	}
-	if err := drainEveryErr(ctx, s.Input, s.Every, func(t relation.Tuple) error {
+	if err := drainErr(ctx, s.Input, func(t relation.Tuple) error {
 		fp := t.Footprint()
 		err := s.Spill.Charge(fp)
 		if err == nil {
@@ -875,11 +857,7 @@ func (s *SortIter) mergeNext() (relation.Tuple, bool, error) {
 	if s.mh.Len() == 0 {
 		return nil, false, nil
 	}
-	every := s.Every
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	if s.pollN++; s.pollN >= every {
+	if s.pollN++; s.pollN >= DefaultCheckEvery {
 		s.pollN = 0
 		if err := s.mctx.Err(); err != nil {
 			return nil, false, err

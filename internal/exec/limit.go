@@ -7,7 +7,7 @@ import (
 	"divlaws/internal/schema"
 )
 
-// LimitBatch passes through the first N tuples of its input and ends
+// LimitIter passes through the first N tuples of its input and ends
 // the stream, closing the child the moment the N-th tuple surfaces —
 // not when the parent eventually calls Close — so blocking and
 // streaming subtrees stop working immediately. Over a parallel
@@ -18,7 +18,7 @@ import (
 // remaining row budget (see rowBudgeter), so a budget-aware subtree
 // produces exactly the rows the limit still needs instead of draining
 // a full slab past it: LIMIT 1 reads one row.
-type LimitBatch struct {
+type LimitIter struct {
 	Label string
 	Input Iterator
 	N     int64
@@ -32,7 +32,7 @@ type LimitBatch struct {
 }
 
 // Open implements Iterator.
-func (l *LimitBatch) Open(ctx context.Context) error {
+func (l *LimitIter) Open(ctx context.Context) error {
 	l.seen = 0
 	l.stopped = l.N <= 0
 	l.stopErr = nil
@@ -46,9 +46,9 @@ func (l *LimitBatch) Open(ctx context.Context) error {
 }
 
 // NextBatch implements Iterator.
-func (l *LimitBatch) NextBatch() (*relation.Batch, error) {
+func (l *LimitIter) NextBatch() (*relation.Batch, error) {
 	if !l.opened {
-		return nil, errNotOpen("LimitBatch")
+		return nil, errNotOpen("LimitIter")
 	}
 	if l.stopped || l.seen >= l.N {
 		// Report an early-teardown error once, at end of stream —
@@ -87,7 +87,7 @@ func (l *LimitBatch) NextBatch() (*relation.Batch, error) {
 }
 
 // Close implements Iterator.
-func (l *LimitBatch) Close() error {
+func (l *LimitIter) Close() error {
 	l.opened = false
 	l.release()
 	err := l.Input.Close()
@@ -99,4 +99,4 @@ func (l *LimitBatch) Close() error {
 }
 
 // Schema implements Iterator.
-func (l *LimitBatch) Schema() schema.Schema { return l.Input.Schema() }
+func (l *LimitIter) Schema() schema.Schema { return l.Input.Schema() }

@@ -119,7 +119,7 @@ func (ex *exchange) stop() {
 // inherently a barrier — any partition may hold the global minimum —
 // but it touches at most k·workers tuples instead of the quotient.
 func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc []bool, k int64, label string, stats *Stats,
-	stream func(ctx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error) *exchange {
+	stream func(ctx context.Context, bound *parallel.TopKBound, emit parallel.EmitFunc) error) *exchange {
 	cmp := relation.KeyedCompare(pos, desc)
 	bound := parallel.TopKBound{K: int(k), Cmp: cmp}
 	if batch <= 0 {
@@ -130,7 +130,7 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 		// guards the map, not the hot tuple path.
 		var mu sync.Mutex
 		runs := make(map[int][]relation.Tuple)
-		err := stream(exCtx, bound, func(part int, batch []relation.Tuple) error {
+		err := stream(exCtx, &bound, func(part int, batch []relation.Tuple) error {
 			mu.Lock()
 			runs[part] = append(runs[part], batch...)
 			mu.Unlock()
@@ -159,21 +159,32 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 }
 
 // ParallelDivideIter is the streaming exchange operator for
-// plan.ParallelDivide: Open materializes both inputs,
-// range-partitions the dividend on the quotient attributes A (Law 2
-// under c2, which the partitioning establishes by construction), and
-// launches one goroutine per partition; each worker runs the
-// streaming division.DivideState over its partition and emits its
-// finished quotient tuples into a bounded channel. NextBatch pulls from
-// the channel, so the first row surfaces as soon as the first
-// partition resolves — the pipeline above never waits for the
-// slowest worker — and Close (or context cancellation) tears the
-// workers down mid-stream. Per-partition emission counts are
-// recorded in Stats under "<label>/part<i>" as tuples flow, so an
-// early exit leaves them below the full quotient sizes.
+// plan.ParallelDivide and, with Great, plan.ParallelGreatDivide. Open
+// drains one input whole, charged, to replicate it to every worker —
+// the divisor under Law 2, the dividend under Law 13 — and
+// hash-partitions the other while it drains, also charged: the
+// dividend on its quotient attributes A (c2 of Law 2 by
+// construction), or the divisor on its group attributes C (Law 13's
+// πC-disjointness by construction). It then launches one worker per
+// non-empty partition; each runs the streaming division state over
+// its partition and emits its finished quotient tuples into a bounded
+// channel. NextBatch pulls from the channel, so the first row
+// surfaces as soon as the first partition resolves — the pipeline
+// above never waits for the slowest worker — and Close (or context
+// cancellation) tears the workers down mid-stream. Per-partition
+// emission counts are recorded in Stats under "<label>/part<i>" as
+// tuples flow, so an early exit leaves them below the full quotient
+// sizes.
+//
+// If the budget refuses a charge, the operator hands everything it
+// holds, and the rest of both inputs, to the sequential grace
+// division, which spills the dividend to temp-file runs. A nil Spill
+// tracker never refuses.
 type ParallelDivideIter struct {
 	Label             string
 	Dividend, Divisor Iterator
+	// Great selects the great divide r1 ÷* r2 over r1 ÷ r2.
+	Great bool
 	// Algo is the per-partition algorithm; empty means hash-division.
 	Algo division.Algorithm
 	// Workers is the partition/goroutine count; 0 means GOMAXPROCS.
@@ -190,14 +201,7 @@ type ParallelDivideIter struct {
 	TopKPos  []int
 	TopKDesc []bool
 	Stats    *Stats
-	// Every is the cooperative ctx-poll interval of the input drains
-	// and worker feed loops, in tuples; 0 means DefaultCheckEvery.
-	Every int
-	// Spill, when non-nil, budgets the exchange: the dividend is
-	// hash-partitioned on A while draining (streamed, charged) instead
-	// of materialized first, and if even the partitions exceed the
-	// budget the operator degrades to the sequential grace division.
-	Spill *spill.Tracker
+	Spill    *spill.Tracker
 	windowBatcher
 
 	out schema.Schema
@@ -212,118 +216,94 @@ type ParallelDivideIter struct {
 	fPos     int
 }
 
-// tuning bundles the iterator's knobs for the parallel fan-out.
-func (p *ParallelDivideIter) tuning() parallel.Tuning {
-	return parallel.Tuning{BatchSize: p.BatchSize, CheckEvery: p.Every}
-}
-
 // Open implements Iterator.
 func (p *ParallelDivideIter) Open(ctx context.Context) error {
-	split, err := division.SmallSplit(p.Dividend.Schema(), p.Divisor.Schema())
+	dividendSch, divisorSch := p.Dividend.Schema(), p.Divisor.Schema()
+	split, out, err := divideSplit(p.Great, dividendSch, divisorSch)
 	if err != nil {
 		return err
 	}
+	p.out = out
 	algo := p.Algo
 	if algo == "" {
-		algo = division.AlgoHash
+		algo = division.AlgoHash // also division.GreatAlgoHash
 	}
-	if p.Spill != nil {
-		p.out = split.A
-		return p.openBudgeted(ctx, split, algo)
-	}
-	dividend, err := drainChild(ctx, p.Dividend, p.Every)
-	if err != nil {
-		return err
-	}
-	divisor, err := drainChild(ctx, p.Divisor, p.Every)
-	if err != nil {
-		return err
-	}
-	p.out = split.A
-	if p.TopKN > 0 {
-		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.DivideStreamTopK(runCtx, algo, dividend, divisor, p.Workers, bound, p.tuning(), emit)
-			})
-		return nil
-	}
-	p.ex = startExchange(ctx, p.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.DivideStream(exCtx, algo, dividend, divisor, p.Workers, p.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
-}
-
-// openBudgeted is Open under a memory budget: the divisor is drained
-// charged (it is replicated to every worker and must fit), the
-// dividend hash-partitioned on A straight off its child — streamed,
-// never materialized whole before partitioning — and the workers run
-// over the charged partitions. If the partitions themselves exceed the
-// budget the operator falls back to the sequential grace division,
-// which spills the dividend to temp-file runs.
-func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Split, algo division.Algorithm) error {
-	dividendSch, divisorSch := p.Dividend.Schema(), p.Divisor.Schema()
 	aPos := dividendSch.Positions(split.A.Attrs())
-	g := newGraceDivide(p.Spill, aPos, p.Every,
-		func() (divSpillState, error) { return division.NewDivideState(dividendSch, divisorSch) })
+	g := newGraceDivide(p.Spill, aPos,
+		func() (divSpillState, error) { return newDivState(p.Great, dividendSch, divisorSch) })
 	p.grace, p.gctx = g, ctx
 
-	if err := p.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	if err := drainEveryErr(ctx, p.Divisor, p.Every, g.addDivisor); err != nil {
-		return err
-	}
-	if err := p.Dividend.Open(ctx); err != nil {
-		return err
+	rep, part, partPos := p.Divisor, p.Dividend, aPos
+	repToGrace := g.addDivisor
+	partToGrace := func(t relation.Tuple) error { return g.addDividend(ctx, t) }
+	if p.Great {
+		rep, part, partPos = p.Dividend, p.Divisor, divisorSch.Positions(split.C.Attrs())
+		repToGrace, partToGrace = partToGrace, repToGrace
 	}
 	w := p.Workers
 	if w <= 0 {
 		w = parallel.DefaultWorkers()
 	}
+	replicated := relation.New(rep.Schema())
 	parts := make([]*relation.Relation, w)
 	for i := range parts {
-		parts[i] = relation.New(dividendSch)
+		parts[i] = relation.New(part.Schema())
 	}
-	hp := &hashPartitioner{pos: aPos, emit: func(t relation.Tuple, h uint64) error {
+	// keep charges t and files it in r, or hands it to the grace
+	// divider once the budget has refused.
+	keep := func(r *relation.Relation, t relation.Tuple, toGrace func(relation.Tuple) error) error {
 		if p.fb {
-			return g.addDividend(ctx, t)
+			return toGrace(t)
 		}
 		fp := t.Footprint()
 		err := p.Spill.Charge(fp)
 		if err == nil {
 			p.charged += fp
-			parts[int(h%uint64(w))].InsertOwned(t)
+			r.InsertOwned(t)
 			return nil
 		}
 		if !errors.Is(err, spill.ErrBudget) {
 			return err
 		}
-		// Budget hit mid-partitioning: hand everything to the grace
-		// divider, which re-buffers (and spills) under its own charge.
+		// Budget hit: hand everything kept so far to the grace divider,
+		// which re-buffers (and spills) under its own charge. It retains
+		// the divisor in memory, so a divisor that genuinely cannot fit
+		// fails with a budget error.
 		p.fb = true
 		p.Spill.Release(p.charged)
 		p.charged = 0
-		for _, part := range parts {
-			for _, pt := range part.Tuples() {
-				if err := g.addDividend(ctx, pt); err != nil {
+		for _, rt := range replicated.Tuples() {
+			if err := repToGrace(rt); err != nil {
+				return err
+			}
+		}
+		replicated = nil
+		for i, pr := range parts {
+			for _, pt := range pr.Tuples() {
+				if err := partToGrace(pt); err != nil {
 					return err
 				}
 			}
+			parts[i] = nil
 		}
-		parts = nil
-		return g.addDividend(ctx, t)
-	}}
-	if err := drainEveryErr(ctx, p.Dividend, p.Every, hp.add); err != nil {
+		return toGrace(t)
+	}
+	if err := rep.Open(ctx); err != nil {
 		return err
 	}
-	if err := hp.flush(); err != nil {
+	if err := drainErr(ctx, rep, func(t relation.Tuple) error { return keep(replicated, t, repToGrace) }); err != nil {
+		return err
+	}
+	if err := part.Open(ctx); err != nil {
+		return err
+	}
+	hp := &parallel.Partitioner{Pos: partPos, N: w, Emit: func(t relation.Tuple, i int) error {
+		return keep(parts[i], t, partToGrace)
+	}}
+	if err := drainErr(ctx, part, hp.Add); err != nil {
+		return err
+	}
+	if err := hp.Flush(); err != nil {
 		return err
 	}
 	if p.fb {
@@ -339,32 +319,24 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 		}
 		return nil
 	}
-	live := parts[:0]
-	for _, part := range parts {
-		if !part.Empty() {
-			live = append(live, part)
+	stream := func(ctx context.Context, bound *parallel.TopKBound, emit parallel.EmitFunc) error {
+		if p.Great {
+			return parallel.GreatDividePartsStream(ctx, algo, replicated, parts, bound, p.BatchSize, emit)
 		}
-	}
-	divisor := relation.New(divisorSch)
-	for _, t := range g.divisor {
-		divisor.InsertOwned(t)
+		return parallel.DividePartsStream(ctx, algo, parts, replicated, bound, p.BatchSize, emit)
 	}
 	if p.TopKN > 0 {
-		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.DividePartsStream(runCtx, algo, live, divisor, &bound, p.tuning(), emit)
-			})
+		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats, stream)
 		return nil
 	}
 	p.ex = startExchange(ctx, p.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.DividePartsStream(exCtx, algo, live, divisor, nil, p.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
-				return nil
-			})
+		return stream(exCtx, nil, func(part int, batch []relation.Tuple) error {
+			if err := send(batch); err != nil {
+				return err
+			}
+			p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
+			return nil
+		})
 	})
 	return nil
 }
@@ -421,355 +393,9 @@ func (p *ParallelDivideIter) Close() error {
 // schemas so parents may call it before Open.
 func (p *ParallelDivideIter) Schema() schema.Schema {
 	if p.out.Len() == 0 {
-		split, err := division.SmallSplit(p.Dividend.Schema(), p.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		p.out = split.A
+		p.out = quotientSchema(p.Great, p.Dividend, p.Divisor)
 	}
 	return p.out
-}
-
-// ParallelGreatDivideIter is the streaming exchange operator for
-// plan.ParallelGreatDivide: the dividend is replicated, the divisor
-// hash-partitioned on its group attributes C (Law 13, whose
-// πC-disjointness premise the partitioning establishes by
-// construction), and one worker per partition great-divides and
-// streams its quotient tuples into the exchange channel; see
-// ParallelDivideIter for the exchange mechanics.
-type ParallelGreatDivideIter struct {
-	Label             string
-	Dividend, Divisor Iterator
-	Algo              division.Algorithm
-	Workers           int
-	// Buffer is the exchange channel capacity; 0 means
-	// DefaultExchangeBuffer.
-	Buffer int
-	// TopKN/TopKPos/TopKDesc enable the order-aware top-k exchange;
-	// see ParallelDivideIter.
-	TopKN    int64
-	TopKPos  []int
-	TopKDesc []bool
-	Stats    *Stats
-	// Every is the cooperative ctx-poll interval of the input drains
-	// and worker feed loops, in tuples; 0 means DefaultCheckEvery.
-	Every int
-	// Spill, when non-nil, budgets the exchange: the divisor is
-	// hash-partitioned on C while draining (streamed, charged) instead
-	// of materialized first, and on budget pressure the operator
-	// degrades to the sequential grace great-division.
-	Spill *spill.Tracker
-	windowBatcher
-
-	out schema.Schema
-	ex  *exchange
-
-	charged  int64
-	grace    *graceDivide
-	gctx     context.Context
-	fb       bool
-	fallback []relation.Tuple
-	fbTopK   bool
-	fPos     int
-}
-
-// tuning bundles the iterator's knobs for the parallel fan-out.
-func (g *ParallelGreatDivideIter) tuning() parallel.Tuning {
-	return parallel.Tuning{BatchSize: g.BatchSize, CheckEvery: g.Every}
-}
-
-// Open implements Iterator.
-func (g *ParallelGreatDivideIter) Open(ctx context.Context) error {
-	split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-	if err != nil {
-		return err
-	}
-	algo := g.Algo
-	if algo == "" {
-		algo = division.GreatAlgoHash
-	}
-	if g.Spill != nil {
-		g.out = split.A.Concat(split.C)
-		return g.openBudgeted(ctx, split, algo)
-	}
-	dividend, err := drainChild(ctx, g.Dividend, g.Every)
-	if err != nil {
-		return err
-	}
-	divisor, err := drainChild(ctx, g.Divisor, g.Every)
-	if err != nil {
-		return err
-	}
-	g.out = split.A.Concat(split.C)
-	if g.TopKN > 0 {
-		g.ex = startTopKExchange(ctx, g.Buffer, g.BatchSize, g.TopKPos, g.TopKDesc, g.TopKN, g.Label, g.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.GreatDivideStreamTopK(runCtx, algo, dividend, divisor, g.Workers, bound, g.tuning(), emit)
-			})
-		return nil
-	}
-	g.ex = startExchange(ctx, g.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.GreatDivideStream(exCtx, algo, dividend, divisor, g.Workers, g.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				g.Stats.count(partLabel(g.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
-}
-
-// partitionChunk is the number of tuples a hashPartitioner hashes per
-// Hash64ProjBatch pass.
-const partitionChunk = 256
-
-// hashPartitioner chunks a per-tuple drain so partition hashes are
-// computed batch-at-a-time: tuples buffer until a chunk fills, the
-// whole chunk's key hashes come out of one Hash64ProjBatch pass, and
-// emit receives each (tuple, hash) pair in arrival order. The caller
-// must flush after the drain to push out the final partial chunk.
-type hashPartitioner struct {
-	pos    []int
-	emit   func(t relation.Tuple, h uint64) error
-	buf    []relation.Tuple
-	hashes []uint64
-}
-
-func (hp *hashPartitioner) add(t relation.Tuple) error {
-	hp.buf = append(hp.buf, t)
-	if len(hp.buf) >= partitionChunk {
-		return hp.flush()
-	}
-	return nil
-}
-
-func (hp *hashPartitioner) flush() error {
-	if len(hp.buf) == 0 {
-		return nil
-	}
-	hp.hashes = relation.Hash64ProjBatch(hp.buf, hp.pos, hp.hashes[:0])
-	for i, t := range hp.buf {
-		if err := hp.emit(t, hp.hashes[i]); err != nil {
-			hp.buf = hp.buf[:0]
-			return err
-		}
-	}
-	hp.buf = hp.buf[:0]
-	return nil
-}
-
-// openBudgeted is Open under a memory budget: the dividend is drained
-// charged (it is replicated to every worker), the divisor
-// hash-partitioned on its group attributes C straight off its child —
-// preserving Law 13's πC-disjointness — and the workers run over the
-// charged partitions. On budget pressure the operator falls back to
-// the sequential grace great-division, which spills the dividend.
-func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split division.Split, algo division.Algorithm) error {
-	dividendSch, divisorSch := g.Dividend.Schema(), g.Divisor.Schema()
-	aPos := dividendSch.Positions(split.A.Attrs())
-	cPos := divisorSch.Positions(split.C.Attrs())
-	gd := newGraceDivide(g.Spill, aPos, g.Every,
-		func() (divSpillState, error) { return division.NewGreatDivideState(dividendSch, divisorSch) })
-	g.grace, g.gctx = gd, ctx
-
-	// The dividend is the replicated side here: buffer it charged, and
-	// degrade to the grace division (which spills it) on overflow.
-	if err := g.Dividend.Open(ctx); err != nil {
-		return err
-	}
-	dividend := relation.New(dividendSch)
-	if err := drainEveryErr(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
-		if g.fb {
-			return gd.addDividend(ctx, t)
-		}
-		fp := t.Footprint()
-		err := g.Spill.Charge(fp)
-		if err == nil {
-			g.charged += fp
-			dividend.InsertOwned(t)
-			return nil
-		}
-		if !errors.Is(err, spill.ErrBudget) {
-			return err
-		}
-		g.fb = true
-		g.Spill.Release(g.charged)
-		g.charged = 0
-		for _, dt := range dividend.Tuples() {
-			if err := gd.addDividend(ctx, dt); err != nil {
-				return err
-			}
-		}
-		dividend = nil
-		return gd.addDividend(ctx, t)
-	}); err != nil {
-		return err
-	}
-
-	if err := g.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	w := g.Workers
-	if w <= 0 {
-		w = parallel.DefaultWorkers()
-	}
-	parts := make([]*relation.Relation, w)
-	for i := range parts {
-		parts[i] = relation.New(divisorSch)
-	}
-	hp := &hashPartitioner{pos: cPos, emit: func(t relation.Tuple, h uint64) error {
-		if g.fb {
-			return gd.addDivisor(t)
-		}
-		fp := t.Footprint()
-		err := g.Spill.Charge(fp)
-		if err == nil {
-			g.charged += fp
-			parts[int(h%uint64(w))].InsertOwned(t)
-			return nil
-		}
-		if !errors.Is(err, spill.ErrBudget) {
-			return err
-		}
-		// Budget hit while partitioning the divisor: hand everything
-		// to the grace divider. It retains the divisor in memory, so a
-		// divisor that genuinely cannot fit fails with a budget error.
-		g.fb = true
-		g.Spill.Release(g.charged)
-		g.charged = 0
-		for _, dt := range dividend.Tuples() {
-			if err := gd.addDividend(ctx, dt); err != nil {
-				return err
-			}
-		}
-		dividend = nil
-		for _, part := range parts {
-			for _, pt := range part.Tuples() {
-				if err := gd.addDivisor(pt); err != nil {
-					return err
-				}
-			}
-		}
-		parts = nil
-		return gd.addDivisor(t)
-	}}
-	if err := drainEveryErr(ctx, g.Divisor, g.Every, hp.add); err != nil {
-		return err
-	}
-	if err := hp.flush(); err != nil {
-		return err
-	}
-	if g.fb {
-		if err := gd.finish(ctx); err != nil {
-			return err
-		}
-		if g.TopKN > 0 {
-			top, err := topKFromGrace(ctx, gd, g.TopKPos, g.TopKDesc, g.TopKN)
-			if err != nil {
-				return err
-			}
-			g.fallback, g.fPos, g.fbTopK = top, 0, true
-		}
-		return nil
-	}
-	live := parts[:0]
-	for _, part := range parts {
-		if !part.Empty() {
-			live = append(live, part)
-		}
-	}
-	if g.TopKN > 0 {
-		g.ex = startTopKExchange(ctx, g.Buffer, g.BatchSize, g.TopKPos, g.TopKDesc, g.TopKN, g.Label, g.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.GreatDividePartsStream(runCtx, algo, dividend, live, &bound, g.tuning(), emit)
-			})
-		return nil
-	}
-	g.ex = startExchange(ctx, g.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.GreatDividePartsStream(exCtx, algo, dividend, live, nil, g.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				g.Stats.count(partLabel(g.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
-}
-
-// NextBatch implements Iterator: the workers' emission batches
-// flow through untouched, capped by any armed row budget.
-func (g *ParallelGreatDivideIter) NextBatch() (*relation.Batch, error) {
-	if g.fbTopK {
-		b := g.window(g.fallback, &g.fPos)
-		if b != nil {
-			g.Stats.count(g.Label, int64(b.Len()))
-		}
-		return b, nil
-	}
-	if g.fb {
-		return graceBatch(g.grace, g.gctx, &g.windowBatcher, g.Stats, g.Label)
-	}
-	if g.ex == nil {
-		return nil, errNotOpen("ParallelGreatDivideIter")
-	}
-	ts, err := g.ex.nextBatch(int(g.budget))
-	if ts == nil {
-		return nil, err
-	}
-	g.Stats.count(g.Label, int64(len(ts)))
-	return g.adopt(ts), nil
-}
-
-// Close implements Iterator; see ParallelDivideIter.Close.
-func (g *ParallelGreatDivideIter) Close() error {
-	if g.ex != nil {
-		g.ex.stop()
-		g.ex = nil
-	}
-	if g.grace != nil {
-		g.grace.close()
-		g.grace = nil
-	}
-	g.Spill.Release(g.charged)
-	g.charged = 0
-	g.fallback, g.fb, g.fbTopK = nil, false, false
-	g.release()
-	err1 := g.Dividend.Close()
-	err2 := g.Divisor.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements Iterator. It is derived from the children's
-// schemas so parents may call it before Open.
-func (g *ParallelGreatDivideIter) Schema() schema.Schema {
-	if g.out.Len() == 0 {
-		split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		g.out = split.A.Concat(split.C)
-	}
-	return g.out
-}
-
-// drainChild opens a child iterator and materializes it, honoring
-// ctx cancellation via the shared drain loop.
-func drainChild(ctx context.Context, it Iterator, every int) (*relation.Relation, error) {
-	if err := it.Open(ctx); err != nil {
-		return nil, err
-	}
-	out := relation.New(it.Schema())
-	if err := drainEvery(ctx, it, every, func(t relation.Tuple) { out.InsertOwned(t) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // partLabel names partition i of a parallel operator in Stats.

@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
+	"divlaws/internal/spill"
 	"divlaws/internal/value"
 )
 
@@ -40,7 +43,7 @@ func TestParallelDivideIterMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelGreatDivideIterMatchesSequential(t *testing.T) {
+func TestParallelDivideIterGreatMatchesSequential(t *testing.T) {
 	r1, r2 := datagen.GreatDividePair{
 		Groups: 150, GroupSize: 5,
 		DivisorGroups: 12, DivisorGroupSize: 4,
@@ -132,6 +135,77 @@ func TestParallelDivideIterPartitionStats(t *testing.T) {
 	}
 	if partTotal != int64(got.Len()) {
 		t.Errorf("partition outputs sum to %d, merged quotient has %d rows", partTotal, got.Len())
+	}
+}
+
+// TestExchangeOnePathWithOrWithoutBudget pins that the exchange has
+// one code path: with a nil tracker and under a budget that never
+// refuses, the same plan returns the same rows and records the same
+// per-operator and per-partition Stats, for the small and great
+// divide, plain and fused with a top-k, on 1–4 workers.
+func TestExchangeOnePathWithOrWithoutBudget(t *testing.T) {
+	r1, r2 := datagen.DividePair{
+		Groups: 300, GroupSize: 4, DivisorSize: 4,
+		Domain: 40, HitRate: 0.6, Seed: 4,
+	}.Generate()
+	g1, g2 := datagen.GreatDividePair{
+		Groups: 150, GroupSize: 5, DivisorGroups: 12, DivisorGroupSize: 3,
+		Domain: 40, HitRate: 0.4, Seed: 4,
+	}.Generate()
+	topk := func(in plan.Node) plan.Node {
+		keys := []plan.SortKey{{Attr: in.Schema().Attrs()[0], Desc: true}}
+		return &plan.TopK{Input: in, Keys: keys, K: 7}
+	}
+	for workers := 1; workers <= 4; workers++ {
+		small := &plan.ParallelDivide{Dividend: plan.NewScan("r1", r1), Divisor: plan.NewScan("r2", r2), Workers: workers}
+		great := &plan.ParallelGreatDivide{Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2), Workers: workers}
+		for _, tc := range []struct {
+			name    string
+			node    plan.Node
+			ordered bool
+		}{
+			{"small", small, false},
+			{"great", great, false},
+			{"topk-small", topk(small), true},
+			{"topk-great", topk(great), true},
+		} {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			run := func(opts CompileOptions) ([]relation.Tuple, map[string]int64) {
+				stats := NewStats()
+				rows := drainBatchSeq(t, CompileWith(tc.node, stats, opts))
+				if !tc.ordered {
+					slices.SortFunc(rows, relation.Tuple.Compare)
+				}
+				return rows, stats.Snapshot()
+			}
+			tr := spill.NewTracker(1 << 40)
+			gotRows, gotStats := run(CompileOptions{Spill: tr})
+			wantRows, wantStats := run(CompileOptions{MemoryLimit: -1})
+			if st := tr.Snapshot(); st.Peak == 0 || st.Runs != 0 || st.Used != 0 {
+				t.Fatalf("%s: budget accounting %+v, want charges, no spill, all released", name, st)
+			}
+			tr.Close()
+			if len(gotRows) != len(wantRows) {
+				t.Fatalf("%s: %d rows under the budget, %d without", name, len(gotRows), len(wantRows))
+			}
+			for i := range gotRows {
+				if !gotRows[i].Equal(wantRows[i]) {
+					t.Fatalf("%s: row %d = %v under the budget, %v without", name, i, gotRows[i], wantRows[i])
+				}
+			}
+			if !maps.Equal(gotStats, wantStats) {
+				t.Errorf("%s: stats differ\nbudget: %v\nnone:   %v", name, gotStats, wantStats)
+			}
+			parts := 0
+			for label := range wantStats {
+				if strings.Contains(label, "/part") {
+					parts++
+				}
+			}
+			if workers > 1 && parts < 2 {
+				t.Errorf("%s: %d partitions in stats %v, want several", name, parts, wantStats)
+			}
+		}
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 // spill.Tracker's lifetime to the root iterator's Close.
 //
 // Budget model: only the operators whose live state grows with input
-// size charge the tracker — SortIter's sort buffer, the two hash
-// division states, the hash join's build side, and the parallel
-// exchanges' materialized inputs. Since PR 10 that accounting covers
+// size charge the tracker — SortIter's sort buffer, the hash
+// division state, the hash join's build side, and the parallel
+// exchange's replicated input and partitions. That accounting covers
 // the hash-table backing arrays too (division states fold TableBytes
 // into Bytes; the grace join delta-charges its index table as it
 // grows) and the emit slabs' one live chunk (charged on refill,
@@ -47,14 +47,6 @@ const spillFanoutBits = 3
 // key group (every split lands its tuples in one child), so deeper
 // recursion cannot help and the query fails with a budget error.
 const maxSpillDepth = 6
-
-// effEvery resolves a ctx-poll interval, 0 meaning DefaultCheckEvery.
-func effEvery(n int) int {
-	if n <= 0 {
-		return DefaultCheckEvery
-	}
-	return n
-}
 
 // spillPart selects the partition for a tuple hash at the given
 // recursion depth, consuming a fresh bit slice per level so recursive
@@ -158,12 +150,11 @@ type gracePart struct {
 // set. A divisor larger than the budget fails with spill.ErrBudget.
 //
 // The API is push-style (addDivisor/addDividend/finish/next) so the
-// parallel operators can fall back to it mid-drain.
+// parallel exchange can fall back to it mid-drain.
 type graceDivide struct {
 	tr       *spill.Tracker
 	newState func() (divSpillState, error)
 	aPos     []int
-	every    int
 
 	divisor    []relation.Tuple
 	divCharged int64
@@ -177,14 +168,10 @@ type graceDivide struct {
 	rPos      int
 	stCharged int64
 	done      bool
-	pollN     int
 }
 
-func newGraceDivide(tr *spill.Tracker, aPos []int, every int, newState func() (divSpillState, error)) *graceDivide {
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	return &graceDivide{tr: tr, newState: newState, aPos: aPos, every: every}
+func newGraceDivide(tr *spill.Tracker, aPos []int, newState func() (divSpillState, error)) *graceDivide {
+	return &graceDivide{tr: tr, newState: newState, aPos: aPos}
 }
 
 // addDivisor retains one divisor tuple, charged against the budget.
@@ -320,7 +307,7 @@ func (g *graceDivide) feedState(ctx context.Context, src func(yield func(relatio
 			charged += now - last
 			last = now
 		}
-		if n++; n >= g.every {
+		if n++; n >= DefaultCheckEvery {
 			n = 0
 			return ctx.Err()
 		}
@@ -400,7 +387,7 @@ func (g *graceDivide) processPart(ctx context.Context, p *gracePart) error {
 // prepends the children to the worklist (depth-first keeps the
 // pending-run count small).
 func (g *graceDivide) splitPart(ctx context.Context, p *gracePart) error {
-	children, err := splitRun(ctx, g.tr, p.run, p.depth, g.every, func(t relation.Tuple) uint64 {
+	children, err := splitRun(ctx, g.tr, p.run, p.depth, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(g.aPos)
 	})
 	p.run.Close()
@@ -416,7 +403,7 @@ func (g *graceDivide) splitPart(ctx context.Context, p *gracePart) error {
 // depth+1 using a fresh slice of the given hash. It fails when the
 // recursion depth is exhausted — at that point the partition is
 // dominated by a single key group and splitting cannot shrink it.
-func splitRun(ctx context.Context, tr *spill.Tracker, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*gracePart, error) {
+func splitRun(ctx context.Context, tr *spill.Tracker, run *spill.Run, depth int, hash func(relation.Tuple) uint64) ([]*gracePart, error) {
 	next := depth + 1
 	if next > maxSpillDepth {
 		return nil, fmt.Errorf("exec: partition still exceeds the memory budget after %d recursive splits (one key group is larger than the budget): %w", maxSpillDepth, spill.ErrBudget)
@@ -448,7 +435,7 @@ func splitRun(ctx context.Context, tr *spill.Tracker, run *spill.Run, depth, eve
 			closeParts(children)
 			return nil, err
 		}
-		if n++; n >= every {
+		if n++; n >= DefaultCheckEvery {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				closeParts(children)
@@ -537,7 +524,6 @@ type graceJoin struct {
 	tr      *spill.Tracker
 	leftPos []int // probe-side key positions (original left schema)
 	nk      int   // key arity
-	every   int
 	charged int64
 	// tableBytes is the index hash-table footprint already folded into
 	// charged; chargeTableDelta tops it up as the table grows.
@@ -709,7 +695,7 @@ func (g *graceJoin) next(ctx context.Context) (relation.Tuple, bool, error) {
 		}
 		g.matches = nil
 		if g.probe != nil {
-			if g.pollN++; g.pollN >= g.every {
+			if g.pollN++; g.pollN >= DefaultCheckEvery {
 				g.pollN = 0
 				if err := ctx.Err(); err != nil {
 					return nil, false, err
@@ -799,7 +785,7 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 			g.dropPart(p)
 			return err
 		}
-		if n++; n >= g.every {
+		if n++; n >= DefaultCheckEvery {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				g.dropPart(p)
@@ -820,7 +806,7 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 // prepends the child pairs to the worklist.
 func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
 	keyPos := identityPos(g.nk)
-	builds, err := splitRun(ctx, g.tr, p.build, p.depth, g.every, func(t relation.Tuple) uint64 {
+	builds, err := splitRun(ctx, g.tr, p.build, p.depth, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(keyPos)
 	})
 	p.build.Close()
@@ -828,7 +814,7 @@ func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
 		p.probe.Close()
 		return err
 	}
-	probes, err := splitRun(ctx, g.tr, p.probe, p.depth, g.every, func(t relation.Tuple) uint64 {
+	probes, err := splitRun(ctx, g.tr, p.probe, p.depth, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(g.leftPos)
 	})
 	p.probe.Close()

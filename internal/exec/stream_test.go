@@ -122,7 +122,7 @@ func TestLimitCancelsParallelDivide(t *testing.T) {
 	if _, ok, err := it.Next(); err != nil || !ok {
 		t.Fatalf("Next = (%t, %v)", ok, err)
 	}
-	// The limit is reached, so LimitBatch has already closed the
+	// The limit is reached, so LimitIter has already closed the
 	// exchange; the second Next ends the stream.
 	if _, ok, _ := it.Next(); ok {
 		t.Fatal("LIMIT 1 produced a second row")
@@ -297,7 +297,7 @@ func (c *closeErrIter) Close() error {
 func TestLimitKeepsFinalTupleOnCloseError(t *testing.T) {
 	node, _ := streamFixture()
 	errBoom := errors.New("boom")
-	lim := &FromBatch{Input: &LimitBatch{
+	lim := &FromBatch{Input: &LimitIter{
 		Label: "l",
 		Input: &closeErrIter{Iterator: Compile(node, nil), err: errBoom},
 		N:     1,

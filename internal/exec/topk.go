@@ -23,7 +23,7 @@ func resolveSortKeys(sch schema.Schema, keys []plan.SortKey) (pos []int, desc []
 
 // TopKIter emits the K smallest tuples of its input in key order,
 // holding O(K) tuples live: Open drains the child into a bounded
-// max-heap (relation.TopKHeap) and — like LimitBatch at the limit
+// max-heap (relation.TopKHeap) and — like LimitIter at the limit
 // boundary — closes the child the moment it is exhausted, so
 // blocking and streaming subtrees release their resources before the
 // first result tuple is served. K <= 0 never opens the child at all.
@@ -37,9 +37,6 @@ type TopKIter struct {
 	Desc  []bool
 	K     int64
 	Stats *Stats
-	// Every is the cooperative ctx-poll interval of the input drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
 	windowBatcher
 
 	rows   []relation.Tuple
@@ -58,7 +55,7 @@ func (t *TopKIter) Open(ctx context.Context) error {
 		return err
 	}
 	heap := relation.NewTopKHeap(int(t.K), relation.KeyedCompare(t.ByPos, t.Desc))
-	if err := drainEvery(ctx, t.Input, t.Every, func(tup relation.Tuple) { heap.Add(tup) }); err != nil {
+	if err := drain(ctx, t.Input, func(tup relation.Tuple) { heap.Add(tup) }); err != nil {
 		return err
 	}
 	// Child exhausted: release the subtree now, before any tuple is

@@ -56,7 +56,7 @@ func TestTopKIter(t *testing.T) {
 	}
 	// Child closed on exhaustion, during Open — before any emission.
 	if child.closes != 1 {
-		t.Fatalf("child closed %d times after Open, want 1 (LimitBatch-style early release)", child.closes)
+		t.Fatalf("child closed %d times after Open, want 1 (LimitIter-style early release)", child.closes)
 	}
 	var got []int64
 	for {
@@ -222,8 +222,8 @@ func TestTopKGreatDivideExchange(t *testing.T) {
 		K:    9,
 	}
 	it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-	if _, ok := it.Input.(*ParallelGreatDivideIter); !ok {
-		t.Fatalf("compiled to %T under the root adapter, want the fused ParallelGreatDivideIter", it.Input)
+	if ex, ok := it.Input.(*ParallelDivideIter); !ok || !ex.Great {
+		t.Fatalf("compiled to %T under the root adapter, want the fused great ParallelDivideIter", it.Input)
 	}
 	want := plan.SortedTuples(quotient, keys)[:9]
 	got := drainBatchSeq(t, it)

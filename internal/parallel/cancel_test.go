@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func bigDividePair() (r1, r2 *relation.Relation) {
 	rows := make([][]int64, 0, groups*per)
 	for a := 0; a < groups; a++ {
 		for b := 0; b < per; b++ {
-			rows = append(rows, []int64{int64(a), int64(b % 64)})
+			rows = append(rows, []int64{int64(a), int64(b)})
 		}
 	}
 	r1 = relation.Ints([]string{"a", "b"}, rows)
@@ -51,77 +52,82 @@ func bigDividePair() (r1, r2 *relation.Relation) {
 	return r1, r2
 }
 
-func TestDividePartitionedCtxStopsWorkersMidPartition(t *testing.T) {
-	r1, r2 := bigDividePair()
-	// Enough Err calls to get all workers started, far fewer than a
-	// full run would make: cancellation lands mid-partition.
-	ctx := newCountdownCtx(8)
-	_, err := DividePartitionedCtx(ctx, division.AlgoHash, r1, r2, 4)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestDividePartitionedCtxPreCancelled(t *testing.T) {
-	r1, r2 := bigDividePair()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := DividePartitionedCtx(ctx, division.AlgoHash, r1, r2, 4); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := GreatDividePartitionedCtx(ctx, division.GreatAlgoHash, r1, r2, 4); err != context.Canceled {
-		t.Fatalf("great err = %v, want context.Canceled", err)
-	}
-}
-
-func TestGreatDividePartitionedCtxStopsWorkersMidPartition(t *testing.T) {
-	// Great divide partitions the divisor; give it groups to split
-	// and a dividend long enough to poll repeatedly.
+// bigGreatDividePair builds a great divide whose divisor has groups
+// to split and whose replicated dividend is long enough for every
+// worker to poll repeatedly.
+func bigGreatDividePair() (r1, r2 *relation.Relation) {
 	n := 8 * DefaultCheckEvery
 	rows := make([][]int64, 0, n)
 	for i := 0; i < n; i++ {
-		rows = append(rows, []int64{int64(i % 512), int64(i % 64)})
+		rows = append(rows, []int64{int64(i / 16), int64(i % 64)}) // all distinct
 	}
-	r1 := relation.Ints([]string{"a", "b"}, rows)
+	r1 = relation.Ints([]string{"a", "b"}, rows)
 	var divisorRows [][]int64
 	for g := int64(0); g < 16; g++ {
 		for b := int64(0); b < 8; b++ {
 			divisorRows = append(divisorRows, []int64{b, g})
 		}
 	}
-	r2 := relation.Ints([]string{"b", "c"}, divisorRows)
+	return r1, relation.Ints([]string{"b", "c"}, divisorRows)
+}
 
+// discard is an EmitFunc that accepts and drops every batch.
+func discard(int, []relation.Tuple) error { return nil }
+
+func TestDividePartsStreamStopsWorkersMidPartition(t *testing.T) {
+	r1, r2 := bigDividePair()
+	parts := partition(r1, []int{0}, 4)
+	// Enough Err calls to get all workers started, far fewer than a
+	// full run would make: cancellation lands mid-partition.
 	ctx := newCountdownCtx(8)
-	_, err := GreatDividePartitionedCtx(ctx, division.GreatAlgoHash, r1, r2, 4)
-	if err != context.Canceled {
+	if err := DividePartsStream(ctx, division.AlgoHash, parts, r2, nil, 0, discard); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestPartsStreamPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r1, r2 := bigDividePair()
+	if err := DividePartsStream(ctx, division.AlgoHash, partition(r1, []int{0}, 4), r2, nil, 0, discard); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	g1, g2 := bigGreatDividePair()
+	if err := GreatDividePartsStream(ctx, division.GreatAlgoHash, g1, partition(g2, []int{1}, 4), nil, 0, discard); err != context.Canceled {
+		t.Fatalf("great err = %v, want context.Canceled", err)
+	}
+}
+
+func TestGreatDividePartsStreamStopsWorkersMidPartition(t *testing.T) {
+	r1, r2 := bigGreatDividePair()
+	ctx := newCountdownCtx(8)
+	if err := GreatDividePartsStream(ctx, division.GreatAlgoHash, r1, partition(r2, []int{1}, 4), nil, 0, discard); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestPartitionedCtxMatchesSequentialWhenUncancelled(t *testing.T) {
 	r1, r2 := bigDividePair()
-	quotients, err := DividePartitionedCtx(context.Background(), division.AlgoHash, r1, r2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := relation.New(quotients[0].Schema())
-	for _, q := range quotients {
-		merged.InsertAll(q)
-	}
-	if want := division.Divide(r1, r2); !merged.Equal(want) {
-		t.Errorf("partitioned ctx division diverges: %d vs %d rows", merged.Len(), want.Len())
-	}
+	want := division.Divide(r1, r2)
 	// Non-default algorithms run whole partitions per poll but must
 	// still agree.
-	quotients, err = DividePartitionedCtx(context.Background(), division.AlgoMaier, r1, r2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged = relation.New(quotients[0].Schema())
-	for _, q := range quotients {
-		merged.InsertAll(q)
-	}
-	if want := division.Divide(r1, r2); !merged.Equal(want) {
-		t.Errorf("maier partitioned ctx division diverges")
+	for _, algo := range []division.Algorithm{division.AlgoHash, division.AlgoMaier} {
+		var mu sync.Mutex
+		merged := relation.New(want.Schema())
+		err := DividePartsStream(context.Background(), algo, partition(r1, []int{0}, 4), r2, nil, 0,
+			func(_ int, batch []relation.Tuple) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, tp := range batch {
+					merged.Insert(tp)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !merged.Equal(want) {
+			t.Errorf("%s: partitioned division diverges: %d vs %d rows", algo, merged.Len(), want.Len())
+		}
 	}
 }

@@ -1,62 +1,39 @@
-// Package parallel implements the intra-operator parallel execution
-// strategies the paper derives from its laws:
+// Package parallel runs the intra-operator parallel divisions the
+// paper derives from its laws, one worker goroutine per partition:
 //
-//   - Law 2 with precondition c2 (§5.1.1): partition the dividend
-//     into n ranges of quotient-candidate values — the paper's
-//     "two parallel index scans" generalized to n — divide each
-//     partition independently, and union the quotients.
+//   - Law 2 with precondition c2 (§5.1.1): split the dividend into
+//     partitions whose πA projections are pairwise disjoint, divide
+//     each against the whole divisor, and union the quotients. The
+//     paper's "two parallel index scans" over key ranges are one such
+//     partitioning; hashing on the quotient attributes A is another.
 //
-//   - Law 13 (§5.2.1): replicate the dividend, hash-partition the
-//     divisor on its group attributes C across n workers, great-
-//     divide in parallel, and merge.
+//   - Law 13 (§5.2.1): replicate the dividend, split the divisor into
+//     partitions whose πC projections are pairwise disjoint,
+//     great-divide the dividend by each, and union the quotients.
 //
-// Both strategies are provably safe: range partitioning on A makes
-// c2 hold by construction, and hash partitioning on C makes the
-// πC-disjointness premise of Law 13 hold by construction.
+// One partitioning rule serves both: Partitioner hashes each tuple's
+// key projection (A of a dividend, C of a great divisor), so tuples
+// sharing a key land in one partition and the laws' premises hold by
+// construction. The streaming exchange in internal/exec partitions
+// its inputs while it drains them and hands the partitions to
+// DividePartsStream or GreatDividePartsStream; Divide and GreatDivide
+// partition materialized relations the same way, for the reference
+// evaluator and tests.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"divlaws/internal/division"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
 )
 
-// DefaultCheckEvery is the default interval, in tuples, of the
-// cooperative context polls inside parallel division workers;
-// tunable per stream via Tuning.CheckEvery.
+// DefaultCheckEvery is the interval, in dividend tuples, of the
+// cooperative context polls inside partition workers.
 const DefaultCheckEvery = 1024
-
-// Tuning carries the per-stream knobs of the partition fan-out; the
-// zero value means defaults everywhere, so callers without an opinion
-// pass Tuning{}.
-type Tuning struct {
-	// BatchSize is the number of quotient tuples a partition worker
-	// accumulates per EmitFunc call; 0 means EmitBatchSize.
-	BatchSize int
-	// CheckEvery is the cooperative ctx-poll interval of the worker
-	// feed loops, in tuples; 0 means DefaultCheckEvery.
-	CheckEvery int
-}
-
-// batch resolves the emission batch size.
-func (t Tuning) batch() int {
-	if t.BatchSize > 0 {
-		return t.BatchSize
-	}
-	return EmitBatchSize
-}
-
-// every resolves the ctx-poll interval.
-func (t Tuning) every() int {
-	if t.CheckEvery > 0 {
-		return t.CheckEvery
-	}
-	return DefaultCheckEvery
-}
 
 // DefaultWorkers is used when a worker count of 0 is given.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -70,10 +47,10 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 const EmitBatchSize = 64
 
 // EmitFunc receives streamed quotient tuples from partition workers
-// in batches of up to EmitBatchSize (the final batch of a partition
-// may be shorter). part identifies the emitting partition; batches
-// of one partition arrive in order, but different partitions emit
-// concurrently (one goroutine each), so implementations must be
+// in batches of up to the stream's batch size (the final batch of a
+// partition may be shorter). part identifies the emitting partition;
+// batches of one partition arrive in order, but different partitions
+// emit concurrently (one goroutine each), so implementations must be
 // safe for concurrent use. The batch slice is owned by the receiver.
 // Returning an error stops the emitting worker; the first error is
 // reported by the stream call.
@@ -96,132 +73,180 @@ func SetPartitionGateForTesting(fn func(part int)) (restore func()) {
 	return func() { partitionGate = old }
 }
 
-// Divide computes r1 ÷ r2 with the dividend range-partitioned on the
-// quotient attributes across workers goroutines (Law 2 under c2),
-// using the default hash-division per partition.
+// partitionChunk is the number of tuples a Partitioner hashes per
+// Hash64ProjBatch pass.
+const partitionChunk = 256
+
+// Partitioner routes tuples to one of N partitions by the hash of
+// their projection on Pos. Hashes are computed chunk-at-a-time: Add
+// buffers tuples until a chunk fills, one Hash64ProjBatch pass hashes
+// the whole chunk, and Emit receives each (tuple, partition) pair in
+// arrival order. Flush after the last Add pushes out the final
+// partial chunk.
+type Partitioner struct {
+	Pos  []int
+	N    int
+	Emit func(t relation.Tuple, part int) error
+
+	buf    []relation.Tuple
+	hashes []uint64
+}
+
+// Add routes one tuple, possibly after buffering it.
+func (p *Partitioner) Add(t relation.Tuple) error {
+	p.buf = append(p.buf, t)
+	if len(p.buf) >= partitionChunk {
+		return p.Flush()
+	}
+	return nil
+}
+
+// Flush routes every buffered tuple; Emit's first error stops it.
+func (p *Partitioner) Flush() error {
+	if len(p.buf) == 0 {
+		return nil
+	}
+	p.hashes = relation.Hash64ProjBatch(p.buf, p.Pos, p.hashes[:0])
+	for i, t := range p.buf {
+		if err := p.Emit(t, int(p.hashes[i]%uint64(p.N))); err != nil {
+			p.buf = p.buf[:0]
+			return err
+		}
+	}
+	p.buf = p.buf[:0]
+	return nil
+}
+
+// partition splits r into n hash partitions on pos (DefaultWorkers
+// when n <= 0); a single partition is r itself.
+func partition(r *relation.Relation, pos []int, n int) []*relation.Relation {
+	if n <= 0 {
+		n = DefaultWorkers()
+	}
+	if n == 1 {
+		return []*relation.Relation{r}
+	}
+	parts := make([]*relation.Relation, n)
+	for i := range parts {
+		parts[i] = relation.New(r.Schema())
+	}
+	p := Partitioner{Pos: pos, N: n, Emit: func(t relation.Tuple, i int) error {
+		parts[i].InsertOwned(t)
+		return nil
+	}}
+	for _, t := range r.Tuples() {
+		p.Add(t)
+	}
+	p.Flush()
+	return parts
+}
+
+// Divide computes r1 ÷ r2 with the dividend hash-partitioned on the
+// quotient attributes A across workers goroutines (Law 2 under c2),
+// each partition divided with algo. Schema violations panic, as the
+// sequential operators do.
 //
 // Note the paper's own proviso (§5.2.1, symmetric for Law 2): the
 // speedup materializes only when the per-partition division is
 // "considerably more expensive than the final union/merge operator";
 // for the linear, memory-bound hash operator the partition and merge
-// overhead can dominate — use DivideWith with a costlier algorithm
-// (or a real multi-node engine) to see the n-fold win.
-func Divide(r1, r2 *relation.Relation, workers int) *relation.Relation {
-	return DivideWith(division.AlgoHash, r1, r2, workers)
-}
-
-// DivideWith is Divide with an explicit per-partition algorithm.
-func DivideWith(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
+// overhead can dominate — a costlier algorithm (or a real multi-node
+// engine) shows the n-fold win.
+func Divide(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
 	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
 	if err != nil {
 		panic(err)
 	}
-	quotients := DividePartitioned(algo, r1, r2, workers)
-	if len(quotients) == 1 {
-		return quotients[0]
-	}
-	out := relation.New(split.A)
-	for _, q := range quotients {
-		out.InsertAll(q)
-	}
-	return out
+	parts := partition(r1, r1.Schema().Positions(split.A.Attrs()), workers)
+	return collect(split.A, len(parts), func(emit EmitFunc) error {
+		return DividePartsStream(context.Background(), algo, parts, r2, nil, 0, emit)
+	})
 }
 
-// DividePartitioned computes r1 ÷ r2 across workers goroutines and
-// returns the per-partition quotients without merging them (a single
-// element when the input is too small to be worth partitioning). The
-// partitions' πA projections are disjoint, so the quotients are too
-// and their union is exactly r1 ÷ r2. Exchange-style operators use
-// this to observe per-partition sizes before merging.
-func DividePartitioned(algo division.Algorithm, r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	out, _ := DividePartitionedCtx(context.Background(), algo, r1, r2, workers)
-	return out
-}
-
-// DividePartitionedCtx is DividePartitioned under a context: every
-// worker polls ctx while it streams its partition (every
-// Tuning.CheckEvery tuples for the default hash algorithm, between
-// phases for the
-// others), so a cancelled context tears the whole fan-out down
-// promptly — mid-partition, not after it. The first cancellation
-// error observed is returned; partial quotients are discarded.
-//
-// Schema violations panic, exactly as the sequential division
-// operators do.
-func DividePartitionedCtx(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int) ([]*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
+// GreatDivide computes r1 ÷* r2 with the divisor hash-partitioned on
+// its group attributes C across workers goroutines (Law 13), each
+// partition great-divided with algo. Schema violations panic.
+func GreatDivide(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
+	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
 	if err != nil {
-		panic(err) // parity with DivideWith's schema panic
+		panic(err)
 	}
-	parts := smallParts(r1, r2, workers)
-	results := make([]*relation.Relation, len(parts))
-	for i := range results {
-		results[i] = relation.New(split.A)
-	}
-	// Each worker emits only under its own part index, so the slot
-	// writes are goroutine-local.
-	if err := divideParts(ctx, algo, parts, r2, nil, Tuning{}, func(part int, batch []relation.Tuple) error {
-		for _, t := range batch {
-			results[part].InsertOwned(t)
-		}
+	parts := partition(r2, r2.Schema().Positions(split.C.Attrs()), workers)
+	return collect(split.A.Concat(split.C), len(parts), func(emit EmitFunc) error {
+		return GreatDividePartsStream(context.Background(), algo, r1, parts, nil, 0, emit)
+	})
+}
+
+// collect materializes an n-partition stream in partition order. The
+// partitions' quotients are disjoint, so their union is the quotient.
+func collect(sch schema.Schema, n int, stream func(EmitFunc) error) *relation.Relation {
+	runs := make([][]relation.Tuple, n)
+	// Each worker appends only to its own run. Under a background
+	// context with an accepting sink the stream cannot fail.
+	_ = stream(func(part int, batch []relation.Tuple) error {
+		runs[part] = append(runs[part], batch...)
 		return nil
-	}); err != nil {
-		return nil, err
+	})
+	out := relation.New(sch)
+	for _, run := range runs {
+		for _, t := range run {
+			out.InsertOwned(t)
+		}
 	}
-	return results, nil
+	return out
 }
 
-// DivideStream computes r1 ÷ r2 across workers goroutines (Law 2
-// under c2), streaming each partition's quotient tuples to emit as
-// soon as that partition resolves instead of materializing
-// per-partition relations — the core of the pipelined exchange
-// operators. It returns after every worker has finished; the first
-// error observed (context cancellation or an emit rejection) stops
-// the fan-out and is returned.
-func DivideStream(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return divideParts(ctx, algo, smallParts(r1, r2, workers), r2, nil, tune, emit)
+// DividePartsStream divides each dividend partition against the shared
+// divisor r2, one worker per non-empty partition (numbered densely in
+// order), streaming each partition's quotient tuples to emit as soon
+// as that partition resolves. The partitions' πA projections must be
+// pairwise disjoint (c2), as a Partitioner on A makes them. A non-nil
+// bound caps each worker's emission at its K smallest quotient
+// tuples; batch is the emission batch size, 0 meaning EmitBatchSize.
+// It returns after every worker has finished; the first error
+// observed (context cancellation or an emit rejection) stops the
+// fan-out and is returned. Schema violations panic.
+func DividePartsStream(ctx context.Context, algo division.Algorithm, parts []*relation.Relation, r2 *relation.Relation, bound *TopKBound, batch int, emit EmitFunc) error {
+	return streamParts(ctx, parts, bound, batch, emit, func(ctx context.Context, p *relation.Relation, sink tupleSink) error {
+		return dividePart(ctx, false, algo, p, r2, sink)
+	})
 }
 
-// DividePartsStream is DivideStream over caller-partitioned dividends:
-// one worker per partition divides it against the shared divisor r2.
-// The partitions must be A-disjoint (every quotient group whole within
-// one partition) — the budgeted exchange path partitions the dividend
-// by hash on A while draining, so it supplies the partitioning itself.
-// A non-nil bound caps each worker's emission at its k smallest
-// quotient tuples.
-func DividePartsStream(ctx context.Context, algo division.Algorithm, parts []*relation.Relation, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return divideParts(ctx, algo, parts, r2, bound, tune, emit)
+// GreatDividePartsStream great-divides the shared dividend r1 by each
+// divisor partition; see DividePartsStream. The partitions' πC
+// projections must be pairwise disjoint (Law 13's premise), as a
+// Partitioner on C makes them.
+func GreatDividePartsStream(ctx context.Context, algo division.Algorithm, r1 *relation.Relation, parts []*relation.Relation, bound *TopKBound, batch int, emit EmitFunc) error {
+	return streamParts(ctx, parts, bound, batch, emit, func(ctx context.Context, p *relation.Relation, sink tupleSink) error {
+		return dividePart(ctx, true, algo, r1, p, sink)
+	})
 }
 
-// smallParts plans the dividend partitioning of r1 ÷ r2: a single
-// pseudo-partition (r1 itself) when the input is too small to be
-// worth partitioning, range partitions on A otherwise. At least one
-// partition is always returned.
-func smallParts(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	if workers <= 0 {
-		workers = DefaultWorkers()
+// streamParts runs work over each non-empty partition in its own
+// worker, behind a per-worker sink. An empty partition has an empty
+// quotient under both laws, so it gets no worker.
+func streamParts(ctx context.Context, parts []*relation.Relation, bound *TopKBound, batch int, emit EmitFunc,
+	work func(ctx context.Context, p *relation.Relation, sink tupleSink) error) error {
+	if bound != nil {
+		if err := bound.validate(); err != nil {
+			return err
+		}
 	}
-	if workers == 1 || r1.Len() < 2*workers {
-		return []*relation.Relation{r1}
+	if batch <= 0 {
+		batch = EmitBatchSize
 	}
-	return PartitionDividend(r1, r2, workers)
-}
-
-// divideParts runs one small-divide worker per partition; a non-nil
-// bound caps each worker's emission at its k smallest quotient
-// tuples.
-func divideParts(ctx context.Context, algo division.Algorithm, parts []*relation.Relation, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	return runWorkers(ctx, len(parts), func(ctx context.Context, i int) error {
-		return divideStreamPart(ctx, algo, i, parts[i], r2, bound, tune, emit)
+	var live []*relation.Relation
+	for _, p := range parts {
+		if !p.Empty() {
+			live = append(live, p)
+		}
+	}
+	return runWorkers(ctx, len(live), func(ctx context.Context, i int) error {
+		sink := partSink(ctx, i, bound, batch, emit)
+		if err := work(ctx, live[i], sink); err != nil {
+			return err
+		}
+		return sink.flush()
 	})
 }
 
@@ -268,18 +293,44 @@ type divisionState interface {
 	EachResult(func(relation.Tuple) error) error
 }
 
-// feedCtx streams (divisor, then dividend) into a division state,
-// polling ctx every `every` dividend tuples.
-func feedCtx(ctx context.Context, st divisionState, r1, r2 *relation.Relation, every int) error {
+// dividePart divides r1 by r2 (great-divides when great) into sink.
+// The hash algorithm streams through the incremental division state,
+// polling ctx every DefaultCheckEvery dividend tuples; the other
+// algorithms are opaque relational computations, so they poll only
+// before starting and while emitting.
+func dividePart(ctx context.Context, great bool, algo division.Algorithm, r1, r2 *relation.Relation, sink tupleSink) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	// division.AlgoHash and division.GreatAlgoHash are the same name.
+	if algo != division.AlgoHash {
+		opaque := division.DivideWith
+		if great {
+			opaque = division.GreatDivideWith
+		}
+		for _, t := range opaque(algo, r1, r2).Tuples() {
+			if err := sink.add(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var st divisionState
+	var err error
+	if great {
+		st, err = division.NewGreatDivideState(r1.Schema(), r2.Schema())
+	} else {
+		st, err = division.NewDivideState(r1.Schema(), r2.Schema())
+	}
+	if err != nil {
+		panic(err) // parity with the sequential operators' schema panic
 	}
 	for _, t := range r2.Tuples() {
 		st.AddDivisor(t)
 	}
 	n := 0
 	for _, t := range r1.Tuples() {
-		if n++; n >= every {
+		if n++; n >= DefaultCheckEvery {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				return err
@@ -287,13 +338,13 @@ func feedCtx(ctx context.Context, st divisionState, r1, r2 *relation.Relation, e
 		}
 		st.AddDividend(t)
 	}
-	return nil
+	return st.EachResult(sink.add)
 }
 
 // batcher accumulates one partition's quotient tuples and flushes
-// them downstream every `size` tuples (EmitBatchSize by default),
-// polling ctx at each flush so emission loops observe cancellation
-// even when the sink itself cannot block on it.
+// them downstream every `size` tuples, polling ctx at each flush so
+// emission loops observe cancellation even when the sink itself
+// cannot block on it.
 type batcher struct {
 	ctx  context.Context
 	part int
@@ -338,300 +389,10 @@ type tupleSink interface {
 
 // partSink builds the sink for one partition worker: a plain batcher,
 // or a k-bounded heap when a top-k bound is pushed down.
-func partSink(ctx context.Context, part int, bound *TopKBound, tune Tuning, emit EmitFunc) tupleSink {
-	out := &batcher{ctx: ctx, part: part, size: tune.batch(), emit: emit}
+func partSink(ctx context.Context, part int, bound *TopKBound, batch int, emit EmitFunc) tupleSink {
+	out := &batcher{ctx: ctx, part: part, size: batch, emit: emit}
 	if bound == nil {
 		return out
 	}
-	return &topkSink{ctx: ctx, heap: relation.NewTopKHeap(bound.K, bound.Cmp), out: out, every: tune.every()}
-}
-
-// emitRelation streams a materialized quotient downstream; the path
-// of the non-hash algorithms, which compute their partition's
-// quotient as an opaque relational computation first.
-func emitRelation(ctx context.Context, sink tupleSink, q *relation.Relation) error {
-	for _, t := range q.Tuples() {
-		if err := sink.add(t); err != nil {
-			return err
-		}
-	}
-	return sink.flush()
-}
-
-// divideStreamPart divides one partition cooperatively, streaming its
-// quotient tuples out. The default hash algorithm streams through
-// division.DivideState with a ctx poll every Tuning.CheckEvery
-// tuples; other algorithms are opaque relational computations, so
-// they poll only before starting and while emitting.
-func divideStreamPart(ctx context.Context, algo division.Algorithm, part int, r1, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sink := partSink(ctx, part, bound, tune, emit)
-	if algo != division.AlgoHash {
-		return emitRelation(ctx, sink, division.DivideWith(algo, r1, r2))
-	}
-	st, err := division.NewDivideState(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with DivideWith's schema panic
-	}
-	if err := feedCtx(ctx, st, r1, r2, tune.every()); err != nil {
-		return err
-	}
-	if err := st.EachResult(sink.add); err != nil {
-		return err
-	}
-	return sink.flush()
-}
-
-// GreatDivide computes r1 ÷* r2 with the divisor hash-partitioned on
-// its group attributes across workers goroutines (Law 13).
-func GreatDivide(r1, r2 *relation.Relation, workers int) *relation.Relation {
-	return GreatDivideWith(division.GreatAlgoHash, r1, r2, workers)
-}
-
-// GreatDivideWith is GreatDivide with an explicit per-partition
-// algorithm.
-func GreatDivideWith(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	quotients := GreatDividePartitioned(algo, r1, r2, workers)
-	if len(quotients) == 1 {
-		return quotients[0]
-	}
-	out := relation.New(split.A.Concat(split.C))
-	for _, q := range quotients {
-		out.InsertAll(q)
-	}
-	return out
-}
-
-// GreatDividePartitioned computes r1 ÷* r2 across workers goroutines
-// and returns the per-partition quotients without merging them (a
-// single element when the divisor is too small to be worth
-// partitioning). Divisor groups are disjoint across partitions, so
-// the quotients never collide on C and their union is exactly
-// r1 ÷* r2. Empty divisor partitions are dropped.
-func GreatDividePartitioned(algo division.Algorithm, r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	out, _ := GreatDividePartitionedCtx(context.Background(), algo, r1, r2, workers)
-	return out
-}
-
-// GreatDividePartitionedCtx is GreatDividePartitioned under a
-// context, with the same cooperative-cancellation contract as
-// DividePartitionedCtx: hash workers poll every Tuning.CheckEvery dividend
-// tuples, other algorithms between phases.
-func GreatDividePartitionedCtx(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int) ([]*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with GreatDivideWith's schema panic
-	}
-	parts := greatParts(r1, r2, workers)
-	results := make([]*relation.Relation, len(parts))
-	for i := range results {
-		results[i] = relation.New(split.A.Concat(split.C))
-	}
-	if err := greatDivideParts(ctx, algo, r1, parts, nil, Tuning{}, func(part int, batch []relation.Tuple) error {
-		for _, t := range batch {
-			results[part].InsertOwned(t)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// GreatDivideStream computes r1 ÷* r2 across workers goroutines (Law
-// 13), streaming each divisor partition's quotient tuples to emit as
-// soon as that partition resolves; the great-divide counterpart of
-// DivideStream, with the same contract.
-func GreatDivideStream(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return greatDivideParts(ctx, algo, r1, greatParts(r1, r2, workers), nil, tune, emit)
-}
-
-// GreatDividePartsStream is GreatDivideStream over caller-partitioned
-// divisors: one worker per divisor partition great-divides the shared
-// dividend r1 against it. The partitions must be πC-disjoint (every
-// divisor group whole within one partition, Law 13's premise) — the
-// budgeted exchange path partitions the divisor by hash on C while
-// draining, so it supplies the partitioning itself. A non-nil bound
-// caps each worker's emission at its k smallest quotient tuples.
-func GreatDividePartsStream(ctx context.Context, algo division.Algorithm, r1 *relation.Relation, parts []*relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return greatDivideParts(ctx, algo, r1, parts, bound, tune, emit)
-}
-
-// greatParts plans the divisor partitioning of r1 ÷* r2: the divisor
-// itself when too small to partition, non-empty hash partitions on C
-// otherwise. At least one partition is always returned.
-func greatParts(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 || r2.Len() < 2*workers {
-		return []*relation.Relation{r2}
-	}
-	var parts []*relation.Relation
-	for _, part := range PartitionDivisor(r1, r2, workers) {
-		if !part.Empty() {
-			parts = append(parts, part)
-		}
-	}
-	return parts
-}
-
-// greatDivideParts runs one great-divide worker per divisor
-// partition; a non-nil bound caps each worker's emission at its k
-// smallest quotient tuples.
-func greatDivideParts(ctx context.Context, algo division.Algorithm, r1 *relation.Relation, parts []*relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	return runWorkers(ctx, len(parts), func(ctx context.Context, i int) error {
-		return greatDivideStreamPart(ctx, algo, i, r1, parts[i], bound, tune, emit)
-	})
-}
-
-// greatDivideStreamPart great-divides one divisor partition
-// cooperatively, streaming its quotient tuples out; see
-// divideStreamPart.
-func greatDivideStreamPart(ctx context.Context, algo division.Algorithm, part int, r1, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sink := partSink(ctx, part, bound, tune, emit)
-	if algo != division.GreatAlgoHash {
-		return emitRelation(ctx, sink, division.GreatDivideWith(algo, r1, r2))
-	}
-	st, err := division.NewGreatDivideState(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with GreatDivideWith's schema panic
-	}
-	if err := feedCtx(ctx, st, r1, r2, tune.every()); err != nil {
-		return err
-	}
-	if err := st.EachResult(sink.add); err != nil {
-		return err
-	}
-	return sink.flush()
-}
-
-// PartitionDividend splits the dividend of r1 ÷ r2 into at most
-// workers range partitions on the quotient attributes A. Partitions
-// have pairwise-disjoint πA projections, so precondition c2 of Law 2
-// holds between any two of them by construction and
-//
-//	r1 ÷ r2 = (p1 ÷ r2) ∪ … ∪ (pn ÷ r2)
-//
-// for the returned partitions p1…pn. It panics on schema violations
-// (the divide itself would too); fewer than workers partitions are
-// returned when the dividend has fewer distinct quotient values.
-func PartitionDividend(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	return partitionByKey(r1, r1.Schema().Positions(split.A.Attrs()), workers)
-}
-
-// PartitionDivisor splits the divisor of r1 ÷* r2 into at most
-// workers hash partitions on the group attributes C. Each divisor
-// group lands entirely in one partition, so the πC-disjointness
-// premise of Law 13 holds by construction and
-//
-//	r1 ÷* r2 = (r1 ÷* p1) ∪ … ∪ (r1 ÷* pn)
-//
-// for the returned partitions p1…pn. It panics on schema violations.
-// Partitions may be empty when the hash distributes unevenly.
-func PartitionDivisor(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	cPos := r2.Schema().Positions(split.C.Attrs())
-	parts := make([]*relation.Relation, workers)
-	for i := range parts {
-		parts[i] = relation.New(r2.Schema())
-	}
-	// Hash the C projections chunk-at-a-time through the batch kernel:
-	// no key string, no projected tuple, no clone on insert (tuples
-	// stay owned by r2).
-	const chunk = 256
-	var hashes []uint64
-	ts := r2.Tuples()
-	for len(ts) > 0 {
-		n := min(chunk, len(ts))
-		hashes = relation.Hash64ProjBatch(ts[:n], cPos, hashes[:0])
-		for i, t := range ts[:n] {
-			parts[hashes[i]%uint64(workers)].InsertOwned(t)
-		}
-		ts = ts[n:]
-	}
-	return parts
-}
-
-// partitionByKey splits r into up to n partitions with disjoint key
-// projections: tuples sharing a key projection stay together, so the
-// c2 precondition of Law 2 holds between any two partitions.
-func partitionByKey(r *relation.Relation, keyPos []int, n int) []*relation.Relation {
-	// Group tuples by key, then deal whole groups over sorted keys
-	// (the paper's ordered index-scan picture). The key index assigns
-	// dense ids without building key strings.
-	var keyIx relation.TupleIndex
-	var groups [][]relation.Tuple
-	for _, t := range r.Tuples() {
-		id, created := keyIx.IDProj(t, keyPos)
-		if created {
-			groups = append(groups, nil)
-		}
-		groups[id] = append(groups[id], t)
-	}
-	order := make([]int, keyIx.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return keyIx.Key(order[i]).Compare(keyIx.Key(order[j])) < 0
-	})
-	if n > len(order) {
-		n = len(order)
-	}
-	if n == 0 {
-		return nil
-	}
-	parts := make([]*relation.Relation, n)
-	for i := range parts {
-		parts[i] = relation.New(r.Schema())
-	}
-	per := (len(order) + n - 1) / n
-	for i, id := range order {
-		p := i / per
-		if p >= n {
-			p = n - 1
-		}
-		for _, t := range groups[id] {
-			parts[p].InsertOwned(t)
-		}
-	}
-	return parts
-}
-
-// VerifyAgainstSequential checks both parallel operators against
-// their sequential references on the given inputs; helper for tests
-// and the CLI's self-check mode.
-func VerifyAgainstSequential(r1, r2 *relation.Relation, workers int) bool {
-	if r2.Schema().SubsetOf(r1.Schema()) {
-		return Divide(r1, r2, workers).Equal(division.Divide(r1, r2))
-	}
-	par := GreatDivide(r1, r2, workers)
-	seq := division.GreatDivide(r1, r2)
-	return par.EquivalentTo(seq)
+	return &topkSink{ctx: ctx, heap: relation.NewTopKHeap(bound.K, bound.Cmp), out: out}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestParallelDivideMatchesSequential(t *testing.T) {
 			Groups: 300, GroupSize: 6, DivisorSize: 6,
 			Domain: 50, HitRate: 0.3, Seed: int64(workers),
 		}.Generate()
-		got := Divide(r1, r2, workers)
+		got := Divide(division.AlgoHash, r1, r2, workers)
 		want := division.Divide(r1, r2)
 		if !got.Equal(want) {
 			t.Errorf("workers=%d: parallel divide diverged (%d vs %d rows)",
@@ -33,7 +34,7 @@ func TestParallelGreatDivideMatchesSequential(t *testing.T) {
 			DivisorGroups: 12, DivisorGroupSize: 4,
 			Domain: 50, HitRate: 0.3, Seed: int64(workers),
 		}.Generate()
-		got := GreatDivide(r1, r2, workers)
+		got := GreatDivide(division.GreatAlgoHash, r1, r2, workers)
 		want := division.GreatDivide(r1, r2)
 		if !got.EquivalentTo(want) {
 			t.Errorf("workers=%d: parallel great divide diverged (%d vs %d rows)",
@@ -42,6 +43,9 @@ func TestParallelGreatDivideMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelRandomizedProperty checks every registered algorithm,
+// run in parallel over random inputs and worker counts, against the
+// sequential reference division.
 func TestParallelRandomizedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
@@ -55,18 +59,23 @@ func TestParallelRandomizedProperty(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			r2.Insert(relation.Tuple{value.Int(int64(rng.Intn(8)))})
 		}
-		workers := 1 + rng.Intn(6)
-		if !VerifyAgainstSequential(r1, r2, workers) {
-			t.Fatalf("trial %d (workers=%d): mismatch\nr1:\n%v\nr2:\n%v", trial, workers, r1, r2)
-		}
 		r2g := relation.New(schema.New("b", "c"))
 		for i := 0; i < 1+rng.Intn(10); i++ {
 			r2g.Insert(relation.Tuple{
 				value.Int(int64(rng.Intn(8))), value.Int(int64(rng.Intn(4))),
 			})
 		}
-		if !VerifyAgainstSequential(r1, r2g, workers) {
-			t.Fatalf("trial %d (workers=%d): great mismatch\nr1:\n%v\nr2:\n%v", trial, workers, r1, r2g)
+		workers := 1 + rng.Intn(6)
+		want, wantGreat := division.Divide(r1, r2), division.GreatDivide(r1, r2g)
+		for _, algo := range division.Algorithms() {
+			if !Divide(algo, r1, r2, workers).Equal(want) {
+				t.Fatalf("trial %d (%s, workers=%d): mismatch\nr1:\n%v\nr2:\n%v", trial, algo, workers, r1, r2)
+			}
+		}
+		for _, algo := range division.GreatAlgorithms() {
+			if !GreatDivide(algo, r1, r2g, workers).EquivalentTo(wantGreat) {
+				t.Fatalf("trial %d (%s, workers=%d): great mismatch\nr1:\n%v\nr2:\n%v", trial, algo, workers, r1, r2g)
+			}
 		}
 	}
 }
@@ -74,11 +83,11 @@ func TestParallelRandomizedProperty(t *testing.T) {
 func TestSmallInputsFallBack(t *testing.T) {
 	r1 := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}})
-	if got := Divide(r1, r2, 8); got.Len() != 1 {
+	if got := Divide(division.AlgoHash, r1, r2, 8); got.Len() != 1 {
 		t.Errorf("tiny input divide = %v", got)
 	}
 	r2g := relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}})
-	if got := GreatDivide(r1, r2g, 8); got.Len() != 1 {
+	if got := GreatDivide(division.GreatAlgoHash, r1, r2g, 8); got.Len() != 1 {
 		t.Errorf("tiny input great divide = %v", got)
 	}
 }
@@ -86,7 +95,7 @@ func TestSmallInputsFallBack(t *testing.T) {
 func TestEmptyDividend(t *testing.T) {
 	r1 := relation.New(schema.New("a", "b"))
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}})
-	if got := Divide(r1, r2, 4); !got.Empty() {
+	if got := Divide(division.AlgoHash, r1, r2, 4); !got.Empty() {
 		t.Errorf("empty dividend = %v", got)
 	}
 }
@@ -98,34 +107,62 @@ func TestDefaultWorkers(t *testing.T) {
 	r1, r2 := datagen.DividePair{
 		Groups: 100, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 1,
 	}.Generate()
-	if !Divide(r1, r2, 0).Equal(division.Divide(r1, r2)) {
+	if !Divide(division.AlgoHash, r1, r2, 0).Equal(division.Divide(r1, r2)) {
 		t.Error("workers=0 should use the default and stay correct")
 	}
 }
 
+// TestPartitionByKeyDisjoint checks the one partitioning rule
+// against both laws' premises: a dividend partitioned on A has
+// pairwise-disjoint πA (c2 of Law 2), a great divisor partitioned on
+// C pairwise-disjoint πC (Law 13), and no tuple is lost or duplicated.
 func TestPartitionByKeyDisjoint(t *testing.T) {
-	r := relation.Ints([]string{"a", "b"}, [][]int64{
-		{1, 1}, {1, 2}, {2, 1}, {3, 1}, {3, 2}, {4, 1},
-	})
-	parts := partitionByKey(r, []int{0}, 2)
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
+	r1, r2 := datagen.DividePair{
+		Groups: 200, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 2,
+	}.Generate()
+	small, err := division.SmallSplit(r1.Schema(), r2.Schema())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Key sets must be disjoint and groups unsplit (c2 guarantee).
-	seen := map[string]int{}
-	total := 0
-	for pi, p := range parts {
-		total += p.Len()
-		for _, tp := range p.Tuples() {
-			k := tp[:1].Key()
-			if prev, ok := seen[k]; ok && prev != pi {
-				t.Errorf("key %q split across partitions %d and %d", k, prev, pi)
-			}
-			seen[k] = pi
+	g1, g2 := datagen.GreatDividePair{
+		Groups: 50, GroupSize: 4, DivisorGroups: 24, DivisorGroupSize: 4,
+		Domain: 40, HitRate: 0.3, Seed: 2,
+	}.Generate()
+	great, err := division.GreatSplit(g1.Schema(), g2.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		r    *relation.Relation
+		key  []string
+	}{
+		{"dividend-on-A", r1, small.A.Attrs()},
+		{"divisor-on-C", g2, great.C.Attrs()},
+	} {
+		pos := tc.r.Schema().Positions(tc.key)
+		parts := partition(tc.r, pos, 4)
+		if len(parts) != 4 {
+			t.Fatalf("%s: %d partitions, want 4", tc.name, len(parts))
 		}
-	}
-	if total != r.Len() {
-		t.Errorf("partitions lose tuples: %d vs %d", total, r.Len())
+		owner := map[string]int{}
+		total := 0
+		for pi, p := range parts {
+			total += p.Len()
+			for _, tp := range p.Tuples() {
+				k := tp.Project(pos).Key()
+				if prev, ok := owner[k]; ok && prev != pi {
+					t.Errorf("%s: key %q split across partitions %d and %d", tc.name, k, prev, pi)
+				}
+				owner[k] = pi
+			}
+		}
+		if total != tc.r.Len() {
+			t.Errorf("%s: partitions hold %d tuples, relation has %d", tc.name, total, tc.r.Len())
+		}
+		if len(owner) < 2 {
+			t.Errorf("%s: only %d distinct keys, too few to exercise the partitioner", tc.name, len(owner))
+		}
 	}
 }
 
@@ -133,8 +170,14 @@ func TestSchemaViolationsPanic(t *testing.T) {
 	bad := relation.Ints([]string{"z"}, [][]int64{{1}})
 	r1 := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})
 	for _, fn := range []func(){
-		func() { Divide(r1, bad, 2) },
-		func() { GreatDivide(bad, bad, 2) },
+		func() { Divide(division.AlgoHash, r1, bad, 2) },
+		func() { GreatDivide(division.GreatAlgoHash, bad, bad, 2) },
+		func() {
+			DividePartsStream(context.Background(), division.AlgoHash, []*relation.Relation{r1}, bad, nil, 0, discard)
+		},
+		func() {
+			GreatDividePartsStream(context.Background(), division.GreatAlgoHash, bad, []*relation.Relation{bad}, nil, 0, discard)
+		},
 	} {
 		func() {
 			defer func() {

@@ -59,13 +59,13 @@ func Eval(n Node) *relation.Relation {
 		if algo == "" {
 			algo = division.AlgoHash
 		}
-		return parallel.DivideWith(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
+		return parallel.Divide(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
 	case *ParallelGreatDivide:
 		algo := t.Algo
 		if algo == "" {
 			algo = division.GreatAlgoHash
 		}
-		return parallel.GreatDivideWith(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
+		return parallel.GreatDivide(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
 	case *Sort:
 		// Relations are sets, but insertion order is preserved by
 		// Tuples(), so the compat path observes the ordering by

@@ -51,6 +51,24 @@ func TestExplainParallelShowsPartitioning(t *testing.T) {
 	}
 }
 
+// TestExplainParallelDivideShowsHashOnA pins the Law 2 exchange's
+// EXPLAIN line to the partitioning the engine runs: hash on the
+// quotient attributes A.
+func TestExplainParallelDivideShowsHashOnA(t *testing.T) {
+	db := explainDB()
+	q := `SELECT s# FROM supplies AS s
+DIVIDE BY (SELECT p# FROM parts WHERE color = 'red') AS p ON s.p# = p.p#`
+	ex, err := db.Explain(q, ExplainOptions{Workers: 4, ParallelThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ParallelDivide[hash, workers=4, hash(s.s#)]", "partitioning: hash(s.s#)"} {
+		if !strings.Contains(ex.Report, want) {
+			t.Errorf("report lacks %q:\n%s", want, ex.Report)
+		}
+	}
+}
+
 func TestExplainSequentialHasNoPartitioning(t *testing.T) {
 	db := explainDB()
 	ex, err := db.Explain(explainQ1, ExplainOptions{Optimize: true, Workers: 1})
